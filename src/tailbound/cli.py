@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .dist_bounds import NUMERIC, RATE, BoundTier, Tier, lower_bound, mgf_sandwich, upper_bound
+from .dist_bounds import NUMERIC, BoundTier, Tier, lower_bound, mgf_sandwich, upper_bound
 from .dist_model import Side, WeightVector, mean_shift, spec_from_json
 from .errors import TailboundError, DomainError
 from .extremes import ExtremeRegime, ExtremeSpec, extreme_bracket, mc_extreme_mean
@@ -27,19 +27,25 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
+class _CliUsage(Exception):
+    pass
+
+
+def _parsed(what: str, text: str, cast):
+    """cast(text); a usage error (exit 2) names the input if it is malformed."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise _CliUsage(f"malformed {what}: {text!r}") from None
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _default_seed() -> int:
     env = os.environ.get("TAILBOUND_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
+    return 42 if env is None else _parsed("TAILBOUND_SEED", env, int)
 
 
 def _load_config(path: str) -> dict:
@@ -64,7 +70,7 @@ def _merge_config(args: argparse.Namespace, casts: dict) -> None:
     cfg = _load_config(args.config)
     for key, cast in casts.items():
         if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, cast(cfg[key]))
+            setattr(args, key, _parsed(f"config value {key}", cfg[key], cast))
 
 
 def _parse_dist(text: str):
@@ -73,10 +79,6 @@ def _parse_dist(text: str):
     except json.JSONDecodeError as exc:
         raise _CliUsage(f"malformed distribution JSON: {exc}") from exc
     return spec_from_json(obj)
-
-
-class _CliUsage(Exception):
-    pass
 
 
 def _emit(payload: dict, out_path: str | None, pretty: bool) -> None:
@@ -107,14 +109,13 @@ def cmd_bound(args) -> int:
         raise _CliUsage("one of --x or --raw-x is required")
     seed = args.seed if args.seed is not None else _default_seed()
     mc_reps = args.mc_reps if args.mc_reps is not None else 10**6
-    tier = RATE if args.tier == "rate" else NUMERIC
-    if args.tier == "rate":
-        tier = BoundTier(Tier.RATE, c_default=args.rate_c, C_default=args.rate_C)
+    rate = args.tier == "rate"
+    tier = BoundTier(Tier.RATE, c_default=args.rate_c, C_default=args.rate_C) if rate else NUMERIC
     payload = {
         "spec": json.loads(args.dist),
         "side": side.value,
         "x": x,
-        "upper": upper_bound(spec, side, x, tier=tier if args.tier == "rate" else None).to_json(),
+        "upper": upper_bound(spec, side, x, tier=tier if rate else None).to_json(),
         "lower": lower_bound(spec, side, x, tier=tier).to_json(),
     }
     if not args.no_exact:
@@ -143,8 +144,9 @@ def cmd_verify(args) -> int:
     if args.quantiles is None:
         quantiles = DEFAULT_QUANTILES
     else:
-        quantiles = tuple(float(v) for v in args.quantiles.split(","))
-    fault = float(os.environ.get("TAILBOUND_FAULT_LOWER_SCALE", "1.0"))
+        quantiles = _parsed("--quantiles", args.quantiles, _floats)
+    fault = _parsed("TAILBOUND_FAULT_LOWER_SCALE",
+                    os.environ.get("TAILBOUND_FAULT_LOWER_SCALE", "1.0"), float)
     report = run_grid(
         families=families,
         x_policy=QuantileGrid(quantiles),
@@ -172,7 +174,7 @@ def cmd_quantile(args) -> int:
 def cmd_extreme(args) -> int:
     _merge_config(args, {"seed": int, "reps": int})
     base = _parse_dist(args.base)
-    weights = WeightVector(tuple(float(v) for v in args.weights.split(",")))
+    weights = WeightVector(_parsed("--weights", args.weights, _floats))
     seed = args.seed if args.seed is not None else _default_seed()
     reps = args.reps if args.reps is not None else 10**5
     spec = ExtremeSpec(base=base, u=weights, k=args.k, sandwich=mgf_sandwich(base))
@@ -322,7 +324,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CliUsage as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except TailboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

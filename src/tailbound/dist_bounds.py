@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,45 +71,14 @@ _IH_C1_LOW = math.log(math.cosh(0.25))  # inf of log cosh(t/4) / t^2 on (0, 1]
 _RAD_C1_LOW = math.log(math.cosh(1.0))  # inf of log cosh(t) / t^2 on (0, 1]
 
 
-def mgf_sandwich(spec: DistSpec, side: Side = Side.UPPER) -> MgfSandwich:
-    """A valid (c1, C1, c2=1, C2=1, alpha, M) sandwich for the requested tail.
+def _per_side(side: Side, upper: tuple, lower: tuple) -> MgfSandwich:
+    return MgfSandwich(*(upper if side is Side.UPPER else lower))
 
-    Lower-side sandwiches control phi(-t), i.e. the MGF of -X.
-    """
-    side = Side(side)
-    if isinstance(spec, Normal):
-        return MgfSandwich(0.5, 0.5, 1.0, 1.0, spec.sigma2, math.inf, two_sided=True)
-    if isinstance(spec, Gamma):
-        if side is Side.UPPER:
-            # t^2/2 <= -(t + log(1-t)) <= t^2/(2(1-t)) <= 5 t^2 for t <= 9/10
-            return MgfSandwich(0.5, 5.0, 1.0, 1.0, spec.alpha, 0.9)
-        # t^2/3 <= t - log(1+t) <= t^2/2 for t <= 1/2
-        return MgfSandwich(1.0 / 3.0, 0.5, 1.0, 1.0, spec.alpha, 0.5)
-    if isinstance(spec, ChiSq):
-        if side is Side.UPPER:
-            return MgfSandwich(1.0, 5.0, 1.0, 1.0, float(spec.k), 0.4)
-        return MgfSandwich(2.0 / 3.0, 1.0, 1.0, 1.0, float(spec.k), 0.25)
-    if isinstance(spec, WeightedChiSq):
-        u = spec.u
-        if side is Side.UPPER:
-            return MgfSandwich(1.0, 5.0, 1.0, 1.0, u.l2_sq, 0.4 / u.linf)
-        return MgfSandwich(2.0 / 3.0, 1.0, 1.0, 1.0, u.l2_sq, 0.25 / u.linf)
-    if isinstance(spec, NoncentralChiSq):
-        a = spec.k + 2.0 * spec.lam
-        if side is Side.UPPER:
-            return MgfSandwich(1.0, 5.0, 1.0, 1.0, a, 0.4)
-        return MgfSandwich(2.0 / 3.0, 1.0, 1.0, 1.0, a, 0.25)
-    if isinstance(spec, Poisson):
-        if side is Side.UPPER:
-            # t^2/2 <= e^t - 1 - t <= (e/2) t^2 for t <= 1
-            return MgfSandwich(0.5, 0.5 * math.e, 1.0, 1.0, spec.lam, 1.0)
-        # (e^-1/2) t^2 <= e^-t - 1 + t <= t^2/2 for t <= 1
-        return MgfSandwich(0.5 * math.exp(-1.0), 0.5, 1.0, 1.0, spec.lam, 1.0)
-    if isinstance(spec, IrwinHall):
-        return MgfSandwich(_IH_C1_LOW, 0.125, 1.0, 1.0, float(spec.k), 1.0, two_sided=True)
-    if isinstance(spec, RademacherSum):
-        return MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(spec.k), 1.0, two_sided=True)
-    raise UnsupportedFamilyError(f"no MGF sandwich for family {family_name(spec)}")
+
+def _chisq_like_sandwich(alpha: float, side: Side, linf: float = 1.0) -> MgfSandwich:
+    """Chi-square cumulant control, for summands scaled by at most ``linf``."""
+    return _per_side(side, (1.0, 5.0, 1.0, 1.0, alpha, 0.4 / linf),
+                     (2.0 / 3.0, 1.0, 1.0, 1.0, alpha, 0.25 / linf))
 
 
 # ---------------------------------------------------------------------------
@@ -120,55 +90,96 @@ def _zero_result(cite: str) -> BoundResult:
     return BoundResult(0.0, -math.inf, "closed_form", True, cite, {"region": "zero_tail"})
 
 
-def _special_region(spec: DistSpec, side: Side, x: float) -> BoundResult | None:
-    """Exact boundary/zero values that trump every tier, or None."""
-    if isinstance(spec, Gamma) and side is Side.LOWER and x >= spec.alpha:
-        return _zero_result("gamma_support")
-    if isinstance(spec, ChiSq) and side is Side.LOWER and x >= spec.k:
-        return _zero_result("chisq_support")
-    if isinstance(spec, WeightedChiSq) and side is Side.LOWER and x >= mean_shift(spec):
-        return _zero_result("weighted_chisq_support")
-    if isinstance(spec, NoncentralChiSq) and side is Side.LOWER and x >= spec.k + spec.lam:
-        return _zero_result("noncentral_chisq_support")
-    if isinstance(spec, Beta):
-        mu = spec.alpha / (spec.alpha + spec.beta)
-        edge = 1.0 - mu if side is Side.UPPER else mu
-        if x > edge:
-            return _zero_result("beta_support")
-    if isinstance(spec, IrwinHall) and x > 0.5 * spec.k:
-        return _zero_result("irwin_hall_support")
-    if isinstance(spec, RademacherSum) and x > spec.k:
-        return _zero_result("rademacher_support")
-    if isinstance(spec, Binomial):
-        k, p = spec.k, spec.p
-        if side is Side.UPPER:
-            if x > k * (1.0 - p):
-                return _zero_result("binomial_support")
-            if k * p + x < 1.0:
-                v, lv = oracle.binom_at_least_one(k, p)
-                return BoundResult(v, lv, "boundary_exact", True, "binomial_boundary",
-                                   {"formula": "1-(1-p)^k"})
-        else:
-            if x > k * p:
-                return _zero_result("binomial_support")
-            if k * (1.0 - p) + x < 1.0:
-                v, lv = oracle.binom_at_least_one(k, 1.0 - p)
-                return BoundResult(v, lv, "boundary_exact", True, "binomial_boundary",
-                                   {"formula": "1-p^k"})
-    if isinstance(spec, Poisson):
-        if side is Side.UPPER and spec.lam + x < 1.0:
-            v = -math.expm1(-spec.lam)
-            lv = math.log1p(-math.exp(-spec.lam))
-            return BoundResult(v, lv, "boundary_exact", True, "poisson_boundary",
-                               {"formula": "1-exp(-lambda)"})
-        if side is Side.LOWER and x > spec.lam:
-            return _zero_result("poisson_support")
+def _none(spec, side: Side, x: float) -> None:
+    return None
+
+
+def _lower_zero_from(cite: str, edge):
+    """Special region of a family whose lower tail is 0 once x >= edge(spec)."""
+    return lambda s, side, x: _zero_result(cite) if side is Side.LOWER and x >= edge(s) else None
+
+
+def _beta_region(spec: Beta, side: Side, x: float) -> BoundResult | None:
+    mu = spec.alpha / (spec.alpha + spec.beta)
+    edge = 1.0 - mu if side is Side.UPPER else mu
+    return _zero_result("beta_support") if x > edge else None
+
+
+def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None:
+    k, p = spec.k, spec.p
+    if side is Side.UPPER:
+        if x > k * (1.0 - p):
+            return _zero_result("binomial_support")
+        if k * p + x < 1.0:
+            v, lv = oracle.binom_at_least_one(k, p)
+            return BoundResult(v, lv, "boundary_exact", True, "binomial_boundary",
+                               {"formula": "1-(1-p)^k"})
+    else:
+        if x > k * p:
+            return _zero_result("binomial_support")
+        if k * (1.0 - p) + x < 1.0:
+            v, lv = oracle.binom_at_least_one(k, 1.0 - p)
+            return BoundResult(v, lv, "boundary_exact", True, "binomial_boundary",
+                               {"formula": "1-p^k"})
+    return None
+
+
+def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
+    if side is Side.UPPER and spec.lam + x < 1.0:
+        v = -math.expm1(-spec.lam)
+        lv = math.log1p(-math.exp(-spec.lam))
+        return BoundResult(v, lv, "boundary_exact", True, "poisson_boundary",
+                           {"formula": "1-exp(-lambda)"})
+    if side is Side.LOWER and x > spec.lam:
+        return _zero_result("poisson_support")
     return None
 
 
 # ---------------------------------------------------------------------------
 # closed-form upper bounds
 # ---------------------------------------------------------------------------
+
+
+def _closed(log_value: float, cite: str, params: dict | None = None) -> BoundResult:
+    return result_from_log(log_value, "closed_form", True, cite, params)
+
+
+def _gamma_upper(spec: Gamma, side: Side, x: float, tier) -> BoundResult:
+    a = spec.alpha
+    if side is Side.UPPER:
+        lv = -x * x / (x + a + math.sqrt(a * a + 2.0 * x * a))
+    else:
+        lv = -x * x / (2.0 * a)
+    return _closed(lv, "sub_gamma")
+
+
+def _chisq_upper(spec: ChiSq, side: Side, x: float, tier) -> BoundResult:
+    k = float(spec.k)
+    if side is Side.UPPER:
+        lv = -x * x / (2.0 * (k + x) + 2.0 * math.sqrt(k * k + 2.0 * k * x))
+    else:
+        lv = -x * x / (4.0 * k)
+    return _closed(lv, "laurent_massart")
+
+
+def _weighted_chisq_upper(spec: WeightedChiSq, side: Side, x: float, tier) -> BoundResult:
+    u = spec.u
+    if side is Side.UPPER:
+        root = (math.sqrt(u.l2_sq + 2.0 * u.linf * x) - math.sqrt(u.l2_sq)) / (2.0 * u.linf)
+        lv = -root * root
+    else:
+        lv = -x * x / (4.0 * u.l2_sq)
+    return _closed(lv, "laurent_massart")
+
+
+def _nc_chisq_upper(spec: NoncentralChiSq, side: Side, x: float, tier) -> BoundResult:
+    a = spec.k + 2.0 * spec.lam
+    if side is Side.UPPER:
+        root = 0.5 * (math.sqrt(a + 2.0 * x) - math.sqrt(a))
+        lv = -root * root
+    else:
+        lv = -x * x / (4.0 * a)
+    return _closed(lv, "birge_noncentral")
 
 
 def _beta_regime_rate(a: float, b: float, x: float, side: Side) -> tuple[float, str]:
@@ -186,90 +197,33 @@ def _require_beta_bound_params(spec: Beta):
             f"beta bound routines need alpha, beta >= 1, got ({spec.alpha}, {spec.beta})")
 
 
-def upper_bound(spec: DistSpec, side: Side, x: float,
-                tier: BoundTier | None = None, eta: float = 2.0) -> BoundResult:
-    """Tightest applicable closed-form upper bound on the tail; certified.
+def _beta_upper(spec: Beta, side: Side, x: float, tier) -> BoundResult:
+    """The always-valid sub-Gaussian form, or with a rate-form tier the
+    two-regime shape with the tier's decay constant."""
+    _require_beta_bound_params(spec)
+    if tier is not None and tier.tier is Tier.RATE:
+        rate, desc = _beta_regime_rate(spec.alpha, spec.beta, x, side)
+        lv = math.log(2.0) - tier.C_default * rate
+        return result_from_log(lv, "rate_form", False, "beta_regime_rate",
+                               {"rate": desc, "C": tier.C_default})
+    return _closed(-2.0 * (spec.alpha + spec.beta + 1.0) * x * x, "beta_subgaussian")
 
-    Passing a rate-form tier selects the two-regime beta shape with the
-    tier's decay constant instead of the always-valid sub-Gaussian form.
-    """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
-    side = Side(side)
-    region = _special_region(spec, side, x)
-    if region is not None and region.value == 0.0:
-        return region
 
-    if isinstance(spec, Normal):
-        return result_from_log(-x * x / (2.0 * spec.sigma2), "closed_form", True,
-                               "gaussian_chernoff")
+def _binomial_upper(spec: Binomial, side: Side, x: float, tier) -> BoundResult:
+    k, p = spec.k, spec.p
+    v = p + x / k if side is Side.UPPER else p - x / k
+    return _closed(-k * specfun.bernoulli_kl(p, min(1.0, max(0.0, v))), "kl_chernoff")
 
-    if isinstance(spec, Gamma):
-        a = spec.alpha
-        if side is Side.UPPER:
-            lv = -x * x / (x + a + math.sqrt(a * a + 2.0 * x * a))
-        else:
-            lv = -x * x / (2.0 * a)
-        return result_from_log(lv, "closed_form", True, "sub_gamma")
 
-    if isinstance(spec, ChiSq):
-        k = float(spec.k)
-        if side is Side.UPPER:
-            lv = -x * x / (2.0 * (k + x) + 2.0 * math.sqrt(k * k + 2.0 * k * x))
-        else:
-            lv = -x * x / (4.0 * k)
-        return result_from_log(lv, "closed_form", True, "laurent_massart")
+def _poisson_upper(spec: Poisson, side: Side, x: float, tier) -> BoundResult:
+    u = x / spec.lam if side is Side.UPPER else -x / spec.lam
+    return _closed(-bennett_rate(spec.lam, u), "bennett")
 
-    if isinstance(spec, WeightedChiSq):
-        u = spec.u
-        if side is Side.UPPER:
-            root = (math.sqrt(u.l2_sq + 2.0 * u.linf * x) - math.sqrt(u.l2_sq)) / (2.0 * u.linf)
-            lv = -root * root
-        else:
-            lv = -x * x / (4.0 * u.l2_sq)
-        return result_from_log(lv, "closed_form", True, "laurent_massart")
 
-    if isinstance(spec, NoncentralChiSq):
-        a = spec.k + 2.0 * spec.lam
-        if side is Side.UPPER:
-            root = 0.5 * (math.sqrt(a + 2.0 * x) - math.sqrt(a))
-            lv = -root * root
-        else:
-            lv = -x * x / (4.0 * a)
-        return result_from_log(lv, "closed_form", True, "birge_noncentral")
-
-    if isinstance(spec, Beta):
-        _require_beta_bound_params(spec)
-        if tier is not None and tier.tier is Tier.RATE:
-            rate, desc = _beta_regime_rate(spec.alpha, spec.beta, x, side)
-            lv = math.log(2.0) - tier.C_default * rate
-            return result_from_log(lv, "rate_form", False, "beta_regime_rate",
-                                   {"rate": desc, "C": tier.C_default})
-        lv = -2.0 * (spec.alpha + spec.beta + 1.0) * x * x
-        return result_from_log(lv, "closed_form", True, "beta_subgaussian")
-
-    if isinstance(spec, Binomial):
-        k, p = spec.k, spec.p
-        v = p + x / k if side is Side.UPPER else p - x / k
-        lv = -k * specfun.bernoulli_kl(p, min(1.0, max(0.0, v)))
-        return result_from_log(lv, "closed_form", True, "kl_chernoff")
-
-    if isinstance(spec, Poisson):
-        u = x / spec.lam if side is Side.UPPER else -x / spec.lam
-        lv = -bennett_rate(spec.lam, u)
-        return result_from_log(lv, "closed_form", True, "bennett")
-
-    if isinstance(spec, IrwinHall):
-        k = spec.k
-        lv = -k * specfun.bernoulli_kl(0.5, 0.5 + x / k)
-        return result_from_log(lv, "closed_form", True, "kl_chernoff_symmetric",
-                               {"relaxed_exponent": -x * x / k})
-
-    if isinstance(spec, RademacherSum):
-        return result_from_log(-x * x / (4.0 * spec.k), "closed_form", True,
-                               "rademacher_subgaussian")
-
-    raise UnsupportedFamilyError(f"no upper bound for {spec!r}")
+def _irwin_hall_upper(spec: IrwinHall, side: Side, x: float, tier) -> BoundResult:
+    k = spec.k
+    return _closed(-k * specfun.bernoulli_kl(0.5, 0.5 + x / k), "kl_chernoff_symmetric",
+                   {"relaxed_exponent": -x * x / k})
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +284,16 @@ def binomial_eq8_value(k: int, p: float, x: float, delta: float) -> float:
     return math.exp(lead) * (1.0 - math.exp(b1) - math.exp(b2))
 
 
+def _binomial_infeasible() -> BoundResult:
+    return BoundResult(0.0, -math.inf, "reverse_chernoff", False,
+                       "binomial_reverse_chernoff", {"feasible": False})
+
+
 def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
     """Optimize the construction over delta on (1, k(1-p)/x)."""
     d_sup = k * (1.0 - p) / x
     if d_sup <= 1.0 + 1e-12:
-        return BoundResult(0.0, -math.inf, "reverse_chernoff", False,
-                           "binomial_reverse_chernoff", {"feasible": False})
+        return _binomial_infeasible()
     d_hi = min(d_sup * (1.0 - 1e-9), 400.0)
     deltas = 1.0 + np.geomspace(1e-4 * (d_hi - 1.0), d_hi - 1.0, 240)
     dp = 0.5 * (1.0 + deltas)
@@ -349,8 +307,7 @@ def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
         bracket = 1.0 - np.exp(b1) - np.exp(b2)
     ok = bracket > 0.0
     if not ok.any():
-        return BoundResult(0.0, -math.inf, "reverse_chernoff", False,
-                           "binomial_reverse_chernoff", {"feasible": False})
+        return _binomial_infeasible()
     log_vals = np.where(ok, lead + np.log(np.where(ok, bracket, 1.0)), -np.inf)
     i = int(np.argmax(log_vals))
 
@@ -388,8 +345,7 @@ def _binomial_probed_lower(k: int, p: float, x: float) -> BoundResult:
     """
     edge = k * (1.0 - p)
     if x >= edge:
-        return BoundResult(0.0, -math.inf, "reverse_chernoff", False,
-                           "binomial_reverse_chernoff", {"feasible": False})
+        return _binomial_infeasible()
     probes = [x] + [float(v) for v in edge * np.geomspace(1e-3, 0.9, 24) if v > x]
     best = None
     for x_probe in probes:
@@ -398,13 +354,13 @@ def _binomial_probed_lower(k: int, p: float, x: float) -> BoundResult:
             best = BoundResult(cand.value, cand.log_value, cand.method, True,
                                cand.cite, dict(cand.params_used, threshold_used=x_probe))
     if best is None:
-        return BoundResult(0.0, -math.inf, "reverse_chernoff", False,
-                           "binomial_reverse_chernoff", {"feasible": False})
+        return _binomial_infeasible()
     return best
 
 
 def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
     """P(Z >= mu + x) >= P(R1 >= a + y) P(R2 <= b - y) for gammas R1, R2, y >= (a+b)x."""
+    _require_beta_bound_params(spec)
     a, b = (spec.alpha, spec.beta) if side is Side.UPPER else (spec.beta, spec.alpha)
     y0 = (a + b) * x
     if y0 >= b:
@@ -424,20 +380,8 @@ def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
                            {"y": best[1]})
 
 
-def _numeric_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
-    """Best certificate among the engines that apply to this family."""
-    if isinstance(spec, Beta):
-        _require_beta_bound_params(spec)
-        return _beta_split_lower(spec, side, x)
-
-    if isinstance(spec, Binomial):
-        k, p = (spec.k, spec.p) if side is Side.UPPER else (spec.k, 1.0 - spec.p)
-        return _binomial_probed_lower(k, p, max(x, 1e-9))
-
-    if isinstance(spec, RademacherSum):
-        # X = 2B - k: right tail at x is Binomial(k, 1/2) right tail at x/2
-        return _binomial_probed_lower(spec.k, 0.5, max(0.5 * x, 1e-9))
-
+def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
+    """Best certificate of the reverse Chernoff and Paley-Zygmund engines."""
     candidates = []
     scale = math.sqrt(variance(spec))
     x_eff = max(x, 1e-9 * max(1.0, scale))
@@ -458,8 +402,219 @@ def _numeric_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# rate forms
+# rate forms: (rate value, rate description, window description)
 # ---------------------------------------------------------------------------
+
+
+def _gamma_rate(spec: Gamma, side: Side, x: float, beta_param: float, eta: float):
+    a = spec.alpha
+    if side is Side.UPPER:
+        return min(x, x * x / a), "min(x, x^2/alpha)", "x >= 0"
+    win = a / beta_param
+    if x > win:
+        raise WindowError(f"gamma left-tail rate form requires x <= alpha/beta = {win}")
+    return x * x / a, "x^2/alpha", f"0 <= x <= alpha/{beta_param}"
+
+
+def _chisq_rate(spec: ChiSq, side: Side, x: float, beta_param: float, eta: float):
+    k = float(spec.k)
+    if side is Side.UPPER:
+        return min(x, x * x / k), "min(x, x^2/k)", "x > 0"
+    win = k / beta_param
+    if x > win:
+        raise WindowError(f"chi-square left-tail rate form requires x <= k/beta = {win}")
+    return x * x / k, "x^2/k", f"0 < x <= k/{beta_param}"
+
+
+def _weighted_chisq_rate(spec: WeightedChiSq, side: Side, x: float, beta_param: float,
+                         eta: float):
+    u = spec.u
+    knee = u.l2_sq / u.linf
+    if side is Side.UPPER:
+        if x <= knee:
+            return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
+        return x / u.linf, "x/|u|_inf", "x > |u|_2^2/|u|_inf"
+    if x > knee:
+        raise WindowError(
+            f"weighted chi-square left-tail rate form requires x <= |u|_2^2/|u|_inf = {knee}")
+    return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
+
+
+def _nc_chisq_rate(spec: NoncentralChiSq, side: Side, x: float, beta_param: float,
+                   eta: float):
+    a = spec.k + 2.0 * spec.lam
+    if side is Side.UPPER:
+        if x <= a:
+            return x * x / a, "x^2/(k+2 lambda)", "0 <= x <= k+2 lambda"
+        return x, "x", "x >= k+2 lambda"
+    win = (spec.k + spec.lam) / beta_param
+    if x > win:
+        raise WindowError(
+            f"noncentral chi-square left-tail rate form requires x <= (k+lambda)/beta = {win}")
+    return x * x / a, "x^2/(k+2 lambda)", f"0 < x <= (k+lambda)/{beta_param}"
+
+
+def _beta_rate(spec: Beta, side: Side, x: float, beta_param: float, eta: float):
+    _require_beta_bound_params(spec)
+    a, b = spec.alpha, spec.beta
+    edge = b if side is Side.UPPER else a
+    win = edge / (eta * (a + b))
+    if x > win:
+        raise WindowError(
+            f"beta rate form requires x <= {'beta' if side is Side.UPPER else 'alpha'}"
+            f"/(eta (alpha+beta)) = {win}")
+    rate, desc = _beta_regime_rate(a, b, x, side)
+    return rate, desc, f"0 < x <= edge/(eta(alpha+beta)), eta={eta}"
+
+
+def _binomial_rate(spec: Binomial, side: Side, x: float, beta_param: float, eta: float):
+    k, p = spec.k, spec.p
+    if side is Side.UPPER:
+        win = k * (1.0 - p) / beta_param
+        if x > win or k * p + x < 1.0:
+            raise WindowError(
+                f"binomial upper-tail rate form requires kp + x >= 1 and x <= k(1-p)/beta = {win}")
+        return k * specfun.bernoulli_kl(p, p + x / k), "k h_p(p + x/k)", \
+            f"kp+x >= 1, x <= k(1-p)/{beta_param}"
+    win = k * p / beta_param
+    if x > win or k * (1.0 - p) + x < 1.0:
+        raise WindowError(
+            f"binomial left-tail rate form requires k(1-p) + x >= 1 and x <= kp/beta = {win}")
+    return k * specfun.bernoulli_kl(p, p - x / k), "k h_p(p - x/k)", \
+        f"k(1-p)+x >= 1, x <= kp/{beta_param}"
+
+
+def _poisson_rate(spec: Poisson, side: Side, x: float, beta_param: float, eta: float):
+    lam = spec.lam
+    if side is Side.UPPER:
+        if lam + x < 1.0:
+            raise WindowError("poisson upper-tail rate form requires x + lambda >= 1")
+        return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", "x + lambda >= 1"
+    win = lam / beta_param
+    if x > win:
+        raise WindowError(f"poisson left-tail rate form requires x <= lambda/beta = {win}")
+    return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", f"0 <= x <= lambda/{beta_param}"
+
+
+def _irwin_hall_rate(spec: IrwinHall, side: Side, x: float, beta_param: float, eta: float):
+    win = spec.k / 4.0
+    if x > win:
+        raise WindowError(f"irwin-hall rate form requires x <= k/4 = {win}")
+    return x * x / spec.k, "x^2/k", "0 <= x <= k/4"
+
+
+def _rademacher_rate(spec: RademacherSum, side: Side, x: float, beta_param: float,
+                     eta: float):
+    win = spec.k / beta_param
+    if x > win:
+        raise WindowError(f"rademacher rate form requires x <= k/beta = {win}")
+    return x * x / spec.k, "x^2/k", f"0 <= x <= k/{beta_param}"
+
+
+# ---------------------------------------------------------------------------
+# one bound record per family
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Bounds:
+    """The bound catalog of one family; every entry is a function of the spec."""
+
+    upper: Callable  # (spec, side, x, tier) -> closed-form upper bound
+    rate: Callable  # (spec, side, x, beta_param, eta) -> rate-form (rate, desc, window)
+    special: Callable = _none  # (spec, side, x) -> exact zero/boundary value or None
+    sandwich: Callable | None = None  # (spec, side) -> MgfSandwich, if the family has one
+    closed_lower: Callable = _none  # (spec, side, x) -> lower bound serving every tier
+    numeric: Callable = _engine_lower  # (spec, side, x) -> numeric-certified lower bound
+
+
+_BOUNDS: dict[type, _Bounds] = {
+    Normal: _Bounds(
+        upper=lambda s, side, x, tier: _closed(-x * x / (2.0 * s.sigma2), "gaussian_chernoff"),
+        rate=lambda s, side, x, beta_param, eta: (
+            x * x / (2.0 * s.sigma2), "x^2/(2 sigma^2)", "x >= 0"),
+        sandwich=lambda s, side: MgfSandwich(0.5, 0.5, 1.0, 1.0, s.sigma2, math.inf)),
+    Gamma: _Bounds(
+        upper=_gamma_upper, rate=_gamma_rate,
+        special=_lower_zero_from("gamma_support", lambda s: s.alpha),
+        # upper: t^2/2 <= -(t + log(1-t)) <= t^2/(2(1-t)) <= 5 t^2 for t <= 9/10;
+        # lower: t^2/3 <= t - log(1+t) <= t^2/2 for t <= 1/2
+        sandwich=lambda s, side: _per_side(side, (0.5, 5.0, 1.0, 1.0, s.alpha, 0.9),
+                                           (1.0 / 3.0, 0.5, 1.0, 1.0, s.alpha, 0.5)),
+        closed_lower=lambda s, side, x: (
+            _gamma_small_shape_lower(s.alpha, x, side) if s.alpha < 1.0 else None)),
+    ChiSq: _Bounds(
+        upper=_chisq_upper, rate=_chisq_rate,
+        special=_lower_zero_from("chisq_support", lambda s: s.k),
+        sandwich=lambda s, side: _chisq_like_sandwich(float(s.k), side)),
+    WeightedChiSq: _Bounds(
+        upper=_weighted_chisq_upper, rate=_weighted_chisq_rate,
+        special=_lower_zero_from("weighted_chisq_support", lambda s: mean_shift(s)),
+        sandwich=lambda s, side: _chisq_like_sandwich(s.u.l2_sq, side, s.u.linf)),
+    NoncentralChiSq: _Bounds(
+        upper=_nc_chisq_upper, rate=_nc_chisq_rate,
+        special=_lower_zero_from("noncentral_chisq_support", lambda s: s.k + s.lam),
+        sandwich=lambda s, side: _chisq_like_sandwich(s.k + 2.0 * s.lam, side)),
+    Beta: _Bounds(
+        upper=_beta_upper, rate=_beta_rate, special=_beta_region, numeric=_beta_split_lower),
+    Binomial: _Bounds(
+        upper=_binomial_upper, rate=_binomial_rate, special=_binomial_region,
+        numeric=lambda s, side, x: _binomial_probed_lower(
+            s.k, s.p if side is Side.UPPER else 1.0 - s.p, max(x, 1e-9))),
+    Poisson: _Bounds(
+        upper=_poisson_upper, rate=_poisson_rate, special=_poisson_region,
+        # upper: t^2/2 <= e^t - 1 - t <= (e/2) t^2 for t <= 1;
+        # lower: (e^-1/2) t^2 <= e^-t - 1 + t <= t^2/2 for t <= 1
+        sandwich=lambda s, side: _per_side(side, (0.5, 0.5 * math.e, 1.0, 1.0, s.lam, 1.0),
+                                           (0.5 * math.exp(-1.0), 0.5, 1.0, 1.0, s.lam, 1.0))),
+    IrwinHall: _Bounds(
+        upper=_irwin_hall_upper, rate=_irwin_hall_rate,
+        special=lambda s, side, x: _zero_result("irwin_hall_support") if x > 0.5 * s.k else None,
+        sandwich=lambda s, side: MgfSandwich(_IH_C1_LOW, 0.125, 1.0, 1.0, float(s.k), 1.0)),
+    RademacherSum: _Bounds(
+        upper=lambda s, side, x, tier: _closed(-x * x / (4.0 * s.k), "rademacher_subgaussian"),
+        rate=_rademacher_rate,
+        special=lambda s, side, x: _zero_result("rademacher_support") if x > s.k else None,
+        sandwich=lambda s, side: MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(s.k), 1.0),
+        # X = 2B - k: right tail at x is Binomial(k, 1/2) right tail at x/2
+        numeric=lambda s, side, x: _binomial_probed_lower(s.k, 0.5, max(0.5 * x, 1e-9))),
+}
+
+
+def _bounds(spec: DistSpec) -> _Bounds:
+    entry = _BOUNDS.get(type(spec))
+    if entry is None:
+        raise UnsupportedFamilyError(f"no bounds for {spec!r}")
+    return entry
+
+
+def mgf_sandwich(spec: DistSpec, side: Side = Side.UPPER) -> MgfSandwich:
+    """A valid (c1, C1, c2=1, C2=1, alpha, M) sandwich for the requested tail.
+
+    Lower-side sandwiches control phi(-t), i.e. the MGF of -X.
+    """
+    side = Side(side)
+    make = _bounds(spec).sandwich
+    if make is None:
+        raise UnsupportedFamilyError(f"no MGF sandwich for family {family_name(spec)}")
+    return make(spec, side)
+
+
+def upper_bound(spec: DistSpec, side: Side, x: float,
+                tier: BoundTier | None = None) -> BoundResult:
+    """Tightest applicable closed-form upper bound on the tail; certified.
+
+    Passing a rate-form tier selects the two-regime beta shape with the
+    tier's decay constant instead of the always-valid sub-Gaussian form.
+    """
+    if x < 0.0 or math.isnan(x):
+        raise DomainError(f"threshold must be >= 0, got {x}")
+    side = Side(side)
+    entry = _bounds(spec)
+    region = entry.special(spec, side, x)
+    if region is not None and region.value == 0.0:
+        return region
+    return entry.upper(spec, side, x, tier)
 
 
 def rate_info(spec: DistSpec, side: Side, x: float,
@@ -468,105 +623,7 @@ def rate_info(spec: DistSpec, side: Side, x: float,
     lower bound; raises WindowError outside the stated validity window."""
     if beta_param <= 1.0 or eta <= 1.0:
         raise DomainError("window parameters beta and eta must exceed 1")
-    side = Side(side)
-
-    if isinstance(spec, Normal):
-        return x * x / (2.0 * spec.sigma2), "x^2/(2 sigma^2)", "x >= 0"
-
-    if isinstance(spec, Gamma):
-        a = spec.alpha
-        if side is Side.UPPER:
-            return min(x, x * x / a), "min(x, x^2/alpha)", "x >= 0"
-        win = a / beta_param
-        if x > win:
-            raise WindowError(f"gamma left-tail rate form requires x <= alpha/beta = {win}")
-        return x * x / a, "x^2/alpha", f"0 <= x <= alpha/{beta_param}"
-
-    if isinstance(spec, ChiSq):
-        k = float(spec.k)
-        if side is Side.UPPER:
-            return min(x, x * x / k), "min(x, x^2/k)", "x > 0"
-        win = k / beta_param
-        if x > win:
-            raise WindowError(f"chi-square left-tail rate form requires x <= k/beta = {win}")
-        return x * x / k, "x^2/k", f"0 < x <= k/{beta_param}"
-
-    if isinstance(spec, WeightedChiSq):
-        u = spec.u
-        knee = u.l2_sq / u.linf
-        if side is Side.UPPER:
-            if x <= knee:
-                return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
-            return x / u.linf, "x/|u|_inf", "x > |u|_2^2/|u|_inf"
-        if x > knee:
-            raise WindowError(
-                f"weighted chi-square left-tail rate form requires x <= |u|_2^2/|u|_inf = {knee}")
-        return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
-
-    if isinstance(spec, NoncentralChiSq):
-        a = spec.k + 2.0 * spec.lam
-        if side is Side.UPPER:
-            if x <= a:
-                return x * x / a, "x^2/(k+2 lambda)", "0 <= x <= k+2 lambda"
-            return x, "x", "x >= k+2 lambda"
-        win = (spec.k + spec.lam) / beta_param
-        if x > win:
-            raise WindowError(
-                f"noncentral chi-square left-tail rate form requires x <= (k+lambda)/beta = {win}")
-        return x * x / a, "x^2/(k+2 lambda)", f"0 < x <= (k+lambda)/{beta_param}"
-
-    if isinstance(spec, Beta):
-        _require_beta_bound_params(spec)
-        a, b = spec.alpha, spec.beta
-        edge = b if side is Side.UPPER else a
-        win = edge / (eta * (a + b))
-        if x > win:
-            raise WindowError(
-                f"beta rate form requires x <= {'beta' if side is Side.UPPER else 'alpha'}"
-                f"/(eta (alpha+beta)) = {win}")
-        rate, desc = _beta_regime_rate(a, b, x, side)
-        return rate, desc, f"0 < x <= edge/(eta(alpha+beta)), eta={eta}"
-
-    if isinstance(spec, Binomial):
-        k, p = spec.k, spec.p
-        if side is Side.UPPER:
-            win = k * (1.0 - p) / beta_param
-            if x > win or k * p + x < 1.0:
-                raise WindowError(
-                    f"binomial upper-tail rate form requires kp + x >= 1 and x <= k(1-p)/beta = {win}")
-            return k * specfun.bernoulli_kl(p, p + x / k), "k h_p(p + x/k)", \
-                f"kp+x >= 1, x <= k(1-p)/{beta_param}"
-        win = k * p / beta_param
-        if x > win or k * (1.0 - p) + x < 1.0:
-            raise WindowError(
-                f"binomial left-tail rate form requires k(1-p) + x >= 1 and x <= kp/beta = {win}")
-        return k * specfun.bernoulli_kl(p, p - x / k), "k h_p(p - x/k)", \
-            f"k(1-p)+x >= 1, x <= kp/{beta_param}"
-
-    if isinstance(spec, Poisson):
-        lam = spec.lam
-        if side is Side.UPPER:
-            if lam + x < 1.0:
-                raise WindowError("poisson upper-tail rate form requires x + lambda >= 1")
-            return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", "x + lambda >= 1"
-        win = lam / beta_param
-        if x > win:
-            raise WindowError(f"poisson left-tail rate form requires x <= lambda/beta = {win}")
-        return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", f"0 <= x <= lambda/{beta_param}"
-
-    if isinstance(spec, IrwinHall):
-        win = spec.k / 4.0
-        if x > win:
-            raise WindowError(f"irwin-hall rate form requires x <= k/4 = {win}")
-        return x * x / spec.k, "x^2/k", "0 <= x <= k/4"
-
-    if isinstance(spec, RademacherSum):
-        win = spec.k / beta_param
-        if x > win:
-            raise WindowError(f"rademacher rate form requires x <= k/beta = {win}")
-        return x * x / spec.k, "x^2/k", f"0 <= x <= k/{beta_param}"
-
-    raise UnsupportedFamilyError(f"no rate form for {spec!r}")
+    return _bounds(spec).rate(spec, Side(side), x, beta_param, eta)
 
 
 def lower_bound(spec: DistSpec, side: Side, x: float,
@@ -581,11 +638,12 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"threshold must be >= 0, got {x}")
     side = Side(side)
-    region = _special_region(spec, side, x)
+    entry = _bounds(spec)
+    region = entry.special(spec, side, x)
+    if region is None:
+        region = entry.closed_lower(spec, side, x)
     if region is not None:
         return region
-    if isinstance(spec, Gamma) and spec.alpha < 1.0:
-        return _gamma_small_shape_lower(spec.alpha, x, side)
 
     if tier.tier is Tier.RATE:
         rate, desc, window = rate_info(spec, side, x, beta_param=beta_param, eta=eta)
@@ -599,7 +657,7 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
             f"no closed-form certified lower bound for {family_name(spec)} "
             f"{side.value} tail at x={x}; use the numeric tier")
 
-    return _numeric_lower(spec, side, x)
+    return entry.numeric(spec, side, x)
 
 
 # ---------------------------------------------------------------------------

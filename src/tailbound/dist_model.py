@@ -3,13 +3,18 @@
 Every tail quantity in this package is about the centered variable
 X = Y - E[Y].  The raw variable Y only appears in samplers and in the CLI,
 which subtracts ``mean_shift`` before calling anything else.
+
+What a family is (wire name, mean, variance, support, log-MGF, sampler) is
+stated once, in its ``_Family`` record in ``_FAMILY`` at the end of this
+module; the public functions validate their input and look the record up.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -25,6 +30,34 @@ class Side(str, enum.Enum):
     LOWER = "lower"
 
 
+def _real(value, what: str) -> float:
+    """value as a finite float; DomainError for non-numbers and non-finite values."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise DomainError(f"{what} must be a finite number, got {value!r}")
+
+
+def _check(spec, name: str, what: str, ok: Callable[[float], bool] = lambda v: v > 0.0,
+           need: str = "positive") -> None:
+    """Store spec.<name> as a finite float satisfying ``ok``."""
+    v = _real(getattr(spec, name), what)
+    if not ok(v):
+        raise DomainError(f"{what} must be {need}, got {v}")
+    object.__setattr__(spec, name, v)
+
+
+def _check_count(spec, what: str) -> None:
+    k = spec.k
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {k!r}")
+    object.__setattr__(spec, "k", int(k))
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Nonnegative weights with cached l2 squared and sup norms."""
@@ -34,10 +67,13 @@ class WeightVector:
     linf: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = tuple(float(v) for v in self.u)
+        try:
+            u = tuple(_real(v, "each weight") for v in self.u)
+        except TypeError:
+            raise DomainError(f"weights must be a sequence of numbers, got {self.u!r}") from None
         if not u:
             raise DomainError("weight vector must be nonempty")
-        if any(v < 0.0 or math.isnan(v) for v in u):
+        if any(v < 0.0 for v in u):
             raise DomainError("weights must be nonnegative")
         linf = max(u)
         if linf <= 0.0:
@@ -58,8 +94,7 @@ class Gamma:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"gamma shape must be positive, got {self.alpha}")
+        _check(self, "alpha", "gamma shape")
 
 
 @dataclass(frozen=True)
@@ -67,8 +102,7 @@ class ChiSq:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"chi-square degrees of freedom must be an integer >= 1, got {self.k}")
+        _check_count(self, "chi-square degrees of freedom")
 
 
 @dataclass(frozen=True)
@@ -77,7 +111,7 @@ class WeightedChiSq:
 
     def __post_init__(self):
         if not isinstance(self.u, WeightVector):
-            object.__setattr__(self, "u", WeightVector(tuple(self.u)))
+            object.__setattr__(self, "u", WeightVector(self.u))
 
 
 @dataclass(frozen=True)
@@ -86,10 +120,8 @@ class NoncentralChiSq:
     lam: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"noncentral chi-square needs integer k >= 1, got {self.k}")
-        if self.lam < 0.0:
-            raise DomainError(f"noncentrality must be >= 0, got {self.lam}")
+        _check_count(self, "noncentral chi-square k")
+        _check(self, "lam", "noncentrality", lambda v: v >= 0.0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -98,8 +130,8 @@ class Beta:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise DomainError(f"beta parameters must be positive, got ({self.alpha}, {self.beta})")
+        _check(self, "alpha", "beta parameter alpha")
+        _check(self, "beta", "beta parameter beta")
 
 
 @dataclass(frozen=True)
@@ -108,10 +140,9 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"binomial count must be an integer >= 1, got {self.k}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"binomial success probability must lie in (0, 1), got {self.p}")
+        _check_count(self, "binomial count")
+        _check(self, "p", "binomial success probability", lambda v: 0.0 < v < 1.0,
+               "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -119,8 +150,7 @@ class Poisson:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DomainError(f"poisson intensity must be positive, got {self.lam}")
+        _check(self, "lam", "poisson intensity")
 
 
 @dataclass(frozen=True)
@@ -128,8 +158,7 @@ class IrwinHall:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"irwin-hall count must be an integer >= 1, got {self.k}")
+        _check_count(self, "irwin-hall count")
 
 
 @dataclass(frozen=True)
@@ -137,8 +166,7 @@ class RademacherSum:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"rademacher count must be an integer >= 1, got {self.k}")
+        _check_count(self, "rademacher count")
 
 
 @dataclass(frozen=True)
@@ -146,8 +174,7 @@ class Normal:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise DomainError(f"normal variance must be positive, got {self.sigma2}")
+        _check(self, "sigma2", "normal variance")
 
 
 DistSpec = Union[
@@ -155,151 +182,95 @@ DistSpec = Union[
     Binomial, Poisson, IrwinHall, RademacherSum, Normal,
 ]
 
-_FAMILY_NAMES = {
-    Gamma: "gamma",
-    ChiSq: "chisq",
-    WeightedChiSq: "weighted_chisq",
-    NoncentralChiSq: "noncentral_chisq",
-    Beta: "beta",
-    Binomial: "binomial",
-    Poisson: "poisson",
-    IrwinHall: "irwin_hall",
-    RademacherSum: "rademacher",
-    Normal: "normal",
-}
-_NAME_TO_FAMILY = {v: k for k, v in _FAMILY_NAMES.items()}
+
+@dataclass(frozen=True)
+class _Family:
+    """Model facts of one family, each a function of the spec.
+
+    ``extent(spec, mean)`` is the (upper, lower) pair of ``support_extent``;
+    ``draw`` returns raw draws of Y; ``cgf(spec, t)`` is the centered log-MGF
+    on an array t, None where there is no closed form, and ``cgf_sup`` the
+    open upper end of its domain; discrete families list their attained
+    centered thresholds in ``support_x``.
+    """
+
+    name: str
+    mean: Callable
+    variance: Callable
+    extent: Callable
+    draw: Callable
+    cgf: Callable | None = None
+    cgf_sup: Callable = lambda spec: math.inf
+    support_x: Callable | None = None
+
+
+def _family(spec) -> _Family:
+    fam = _FAMILY.get(type(spec))
+    if fam is None:
+        raise UnsupportedFamilyError(f"unknown spec {spec!r}")
+    return fam
 
 
 def family_name(spec: DistSpec) -> str:
-    return _FAMILY_NAMES[type(spec)]
+    return _family(spec).name
+
+
+# Wire parameter names are the dataclass field names, except these.
+_WIRE_NAMES = {"lam": "lambda", "u": "weights"}
 
 
 def spec_to_json(spec: DistSpec) -> dict:
     """Serialize to the wire schema {"family": ..., "params": {...}}."""
-    if isinstance(spec, Gamma):
-        params = {"alpha": spec.alpha}
-    elif isinstance(spec, ChiSq):
-        params = {"k": spec.k}
-    elif isinstance(spec, WeightedChiSq):
-        params = {"weights": list(spec.u.u)}
-    elif isinstance(spec, NoncentralChiSq):
-        params = {"k": spec.k, "lambda": spec.lam}
-    elif isinstance(spec, Beta):
-        params = {"alpha": spec.alpha, "beta": spec.beta}
-    elif isinstance(spec, Binomial):
-        params = {"k": spec.k, "p": spec.p}
-    elif isinstance(spec, Poisson):
-        params = {"lambda": spec.lam}
-    elif isinstance(spec, IrwinHall):
-        params = {"k": spec.k}
-    elif isinstance(spec, RademacherSum):
-        params = {"k": spec.k}
-    elif isinstance(spec, Normal):
-        params = {"sigma2": spec.sigma2}
-    else:
-        raise UnsupportedFamilyError(f"unknown spec {spec!r}")
-    return {"family": family_name(spec), "params": params}
+    name = family_name(spec)
+    params = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type == "WeightVector":
+            value = list(value.u)
+        params[_WIRE_NAMES.get(f.name, f.name)] = value
+    return {"family": name, "params": params}
 
 
 def spec_from_json(obj: dict) -> DistSpec:
-    """Parse the wire schema produced by ``spec_to_json``."""
+    """Parse the wire schema produced by ``spec_to_json``.
+
+    The spec constructors validate the values; a count may arrive as an
+    integral float such as 8.0.  Malformed input raises DomainError.
+    """
     try:
         name = obj["family"]
         params = dict(obj.get("params", {}))
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError, AttributeError) as exc:
         raise DomainError(f"malformed distribution spec: {obj!r}") from exc
-    cls = _NAME_TO_FAMILY.get(name)
+    cls = _BY_NAME.get(name) if isinstance(name, str) else None
     if cls is None:
         raise UnsupportedFamilyError(f"unknown family {name!r}")
-    try:
-        if cls is Gamma:
-            return Gamma(float(params["alpha"]))
-        if cls is ChiSq:
-            return ChiSq(int(params["k"]))
-        if cls is WeightedChiSq:
-            return WeightedChiSq(WeightVector(tuple(float(v) for v in params["weights"])))
-        if cls is NoncentralChiSq:
-            return NoncentralChiSq(int(params["k"]), float(params["lambda"]))
-        if cls is Beta:
-            return Beta(float(params["alpha"]), float(params["beta"]))
-        if cls is Binomial:
-            return Binomial(int(params["k"]), float(params["p"]))
-        if cls is Poisson:
-            return Poisson(float(params["lambda"]))
-        if cls is IrwinHall:
-            return IrwinHall(int(params["k"]))
-        if cls is RademacherSum:
-            return RademacherSum(int(params["k"]))
-        return Normal(float(params["sigma2"]))
-    except KeyError as exc:
-        raise DomainError(f"missing parameter {exc} for family {name!r}") from exc
+    args = {}
+    for f in fields(cls):
+        key = _WIRE_NAMES.get(f.name, f.name)
+        if key not in params:
+            raise DomainError(f"missing parameter '{key}' for family {name!r}")
+        value = params[key]
+        if f.type == "int" and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        args[f.name] = value
+    return cls(**args)
 
 
 def mean_shift(spec: DistSpec) -> float:
     """E[Y] for the raw variable, so raw thresholds map to centered x."""
-    if isinstance(spec, Gamma):
-        return spec.alpha
-    if isinstance(spec, ChiSq):
-        return float(spec.k)
-    if isinstance(spec, WeightedChiSq):
-        return math.fsum(spec.u.u)
-    if isinstance(spec, NoncentralChiSq):
-        return spec.k + spec.lam
-    if isinstance(spec, Beta):
-        return spec.alpha / (spec.alpha + spec.beta)
-    if isinstance(spec, Binomial):
-        return spec.k * spec.p
-    if isinstance(spec, Poisson):
-        return spec.lam
-    if isinstance(spec, IrwinHall):
-        return spec.k / 2.0
-    if isinstance(spec, RademacherSum):
-        return 0.0
-    if isinstance(spec, Normal):
-        return 0.0
-    raise UnsupportedFamilyError(f"unknown spec {spec!r}")
+    return _family(spec).mean(spec)
 
 
 def variance(spec: DistSpec) -> float:
     """Var(Y) = Var(X)."""
-    if isinstance(spec, Gamma):
-        return spec.alpha
-    if isinstance(spec, ChiSq):
-        return 2.0 * spec.k
-    if isinstance(spec, WeightedChiSq):
-        return 2.0 * spec.u.l2_sq
-    if isinstance(spec, NoncentralChiSq):
-        return 2.0 * spec.k + 4.0 * spec.lam
-    if isinstance(spec, Beta):
-        a, b = spec.alpha, spec.beta
-        return a * b / ((a + b) ** 2 * (a + b + 1.0))
-    if isinstance(spec, Binomial):
-        return spec.k * spec.p * (1.0 - spec.p)
-    if isinstance(spec, Poisson):
-        return spec.lam
-    if isinstance(spec, IrwinHall):
-        return spec.k / 12.0
-    if isinstance(spec, RademacherSum):
-        return float(spec.k)
-    if isinstance(spec, Normal):
-        return spec.sigma2
-    raise UnsupportedFamilyError(f"unknown spec {spec!r}")
+    return _family(spec).variance(spec)
 
 
 def support_extent(spec: DistSpec, side: Side) -> float:
     """Largest x with P(X >= x) > 0 (upper) or P(X <= -x) > 0 (lower); inf if unbounded."""
-    mu = mean_shift(spec)
-    if isinstance(spec, Beta):
-        return 1.0 - mu if side is Side.UPPER else mu
-    if isinstance(spec, Binomial):
-        return spec.k - mu if side is Side.UPPER else mu
-    if isinstance(spec, IrwinHall):
-        return spec.k / 2.0
-    if isinstance(spec, RademacherSum):
-        return float(spec.k)
-    if side is Side.LOWER and isinstance(spec, (Gamma, ChiSq, WeightedChiSq, NoncentralChiSq, Poisson)):
-        return mu
-    return math.inf
+    upper, lower = _family(spec).extent(spec, mean_shift(spec))
+    return upper if Side(side) is Side.UPPER else lower
 
 
 @dataclass(frozen=True)
@@ -310,118 +281,58 @@ class LogMgfSpec:
     domain: RealInterval
 
 
-def _irwin_hall_log_mgf(k: int):
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        u = 0.5 * t
-        small = np.abs(u) < 1e-3
-        u_safe = np.where(small, 1.0, u)
-        with np.errstate(over="ignore"):
-            direct = np.log(np.sinh(np.abs(u_safe)) / np.abs(u_safe))
-        u2 = u * u
-        series = u2 / 6.0 - u2 * u2 / 180.0
-        out = k * np.where(small, series, direct)
-        return out if out.ndim else float(out)
-
-    return ev
-
-
 def log_mgf(spec: DistSpec) -> LogMgfSpec:
     """Closed-form centered log-MGF; Beta has none and raises."""
-    if isinstance(spec, Normal):
-        s2 = spec.sigma2
+    fam = _family(spec)
+    cgf = fam.cgf
+    if cgf is None:
+        raise UnsupportedFamilyError(f"no closed-form MGF for family {fam.name}")
 
-        def ev_normal(t):
-            t = np.asarray(t, dtype=float)
-            out = 0.5 * s2 * t * t
-            return out if out.ndim else float(out)
+    def ev(t):
+        out = cgf(spec, np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
 
-        return LogMgfSpec(ev_normal, RealInterval(-math.inf, math.inf, False, False))
+    return LogMgfSpec(ev, RealInterval(-math.inf, fam.cgf_sup(spec), False, False))
 
-    if isinstance(spec, Gamma):
-        a = spec.alpha
 
-        def ev_gamma(t):
-            t = np.asarray(t, dtype=float)
-            tc = np.where(t < 1.0, t, 0.0)
-            out = np.where(t < 1.0, -a * (tc + np.log1p(-tc)), np.inf)
-            return out if out.ndim else float(out)
+def _gamma_cgf(spec: Gamma, t: np.ndarray):
+    tc = np.where(t < 1.0, t, 0.0)
+    return np.where(t < 1.0, -spec.alpha * (tc + np.log1p(-tc)), np.inf)
 
-        return LogMgfSpec(ev_gamma, RealInterval(-math.inf, 1.0, False, False))
 
-    if isinstance(spec, ChiSq):
-        k = spec.k
+def _chisq_cgf(spec: ChiSq, t: np.ndarray):
+    tc = np.where(t < 0.5, t, 0.0)
+    return np.where(t < 0.5, -0.5 * spec.k * (np.log1p(-2.0 * tc) + 2.0 * tc), np.inf)
 
-        def ev_chisq(t):
-            t = np.asarray(t, dtype=float)
-            tc = np.where(t < 0.5, t, 0.0)
-            out = np.where(t < 0.5, -0.5 * k * (np.log1p(-2.0 * tc) + 2.0 * tc), np.inf)
-            return out if out.ndim else float(out)
 
-        return LogMgfSpec(ev_chisq, RealInterval(-math.inf, 0.5, False, False))
+def _weighted_chisq_cgf(spec: WeightedChiSq, t: np.ndarray):
+    tu = np.multiply.outer(t, spec.u.as_array())
+    with np.errstate(invalid="ignore"):
+        terms = -0.5 * (np.log1p(-2.0 * tu) + 2.0 * tu)
+    return np.where(np.all(tu < 0.5, axis=-1), np.nansum(terms, axis=-1), np.inf)
 
-    if isinstance(spec, WeightedChiSq):
-        u = spec.u.as_array()
-        hi = 1.0 / (2.0 * spec.u.linf)
 
-        def ev_weighted(t):
-            t = np.asarray(t, dtype=float)
-            tu = np.multiply.outer(t, u)
-            with np.errstate(invalid="ignore"):
-                terms = -0.5 * (np.log1p(-2.0 * tu) + 2.0 * tu)
-            out = np.where(np.all(tu < 0.5, axis=-1), np.nansum(terms, axis=-1), np.inf)
-            return out if np.ndim(out) else float(out)
+def _nc_chisq_cgf(spec: NoncentralChiSq, t: np.ndarray):
+    k, lam = spec.k, spec.lam
+    tc = np.where(t < 0.5, t, 0.0)
+    body = 2.0 * lam * tc * tc / (1.0 - 2.0 * tc) - 0.5 * k * (np.log1p(-2.0 * tc) + 2.0 * tc)
+    return np.where(t < 0.5, body, np.inf)
 
-        return LogMgfSpec(ev_weighted, RealInterval(-math.inf, hi, False, False))
 
-    if isinstance(spec, NoncentralChiSq):
-        k, lam = spec.k, spec.lam
+def _irwin_hall_cgf(spec: IrwinHall, t: np.ndarray):
+    u = 0.5 * t
+    small = np.abs(u) < 1e-3
+    u_safe = np.where(small, 1.0, u)
+    with np.errstate(over="ignore"):
+        direct = np.log(np.sinh(np.abs(u_safe)) / np.abs(u_safe))
+    u2 = u * u
+    series = u2 / 6.0 - u2 * u2 / 180.0
+    return spec.k * np.where(small, series, direct)
 
-        def ev_nc(t):
-            t = np.asarray(t, dtype=float)
-            tc = np.where(t < 0.5, t, 0.0)
-            body = 2.0 * lam * tc * tc / (1.0 - 2.0 * tc) - 0.5 * k * (np.log1p(-2.0 * tc) + 2.0 * tc)
-            out = np.where(t < 0.5, body, np.inf)
-            return out if out.ndim else float(out)
 
-        return LogMgfSpec(ev_nc, RealInterval(-math.inf, 0.5, False, False))
-
-    if isinstance(spec, Binomial):
-        k, p = spec.k, spec.p
-        logp, logq = math.log(p), math.log1p(-p)
-
-        def ev_binom(t):
-            t = np.asarray(t, dtype=float)
-            out = k * (np.logaddexp(logq, logp + t) - p * t)
-            return out if out.ndim else float(out)
-
-        return LogMgfSpec(ev_binom, RealInterval(-math.inf, math.inf, False, False))
-
-    if isinstance(spec, Poisson):
-        lam = spec.lam
-
-        def ev_pois(t):
-            t = np.asarray(t, dtype=float)
-            out = lam * (np.expm1(t) - t)
-            return out if out.ndim else float(out)
-
-        return LogMgfSpec(ev_pois, RealInterval(-math.inf, math.inf, False, False))
-
-    if isinstance(spec, IrwinHall):
-        return LogMgfSpec(_irwin_hall_log_mgf(spec.k), RealInterval(-math.inf, math.inf, False, False))
-
-    if isinstance(spec, RademacherSum):
-        k = spec.k
-
-        def ev_rad(t):
-            t = np.asarray(t, dtype=float)
-            a = np.abs(t)
-            out = k * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
-            return out if out.ndim else float(out)
-
-        return LogMgfSpec(ev_rad, RealInterval(-math.inf, math.inf, False, False))
-
-    raise UnsupportedFamilyError(f"no closed-form MGF for family {family_name(spec)}")
+def _rademacher_cgf(spec: RademacherSum, t: np.ndarray):
+    a = np.abs(t)
+    return spec.k * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
 
 
 _MASK64 = (1 << 64) - 1
@@ -453,50 +364,92 @@ def sample(spec: DistSpec, rng_stream: RngStream, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = rng_stream.generator()
-    shift = mean_shift(spec)
+    draw = _family(spec).draw
+    return draw(spec, rng_stream.generator(), n) - mean_shift(spec)
 
-    if isinstance(spec, Gamma):
-        return rng.standard_gamma(spec.alpha, size=n) - shift
-    if isinstance(spec, ChiSq):
-        return rng.chisquare(spec.k, size=n) - shift
-    if isinstance(spec, NoncentralChiSq):
-        if spec.lam == 0.0:
-            return rng.chisquare(spec.k, size=n) - shift
-        return rng.noncentral_chisquare(spec.k, spec.lam, size=n) - shift
-    if isinstance(spec, Beta):
-        return rng.beta(spec.alpha, spec.beta, size=n) - shift
-    if isinstance(spec, Binomial):
-        return rng.binomial(spec.k, spec.p, size=n).astype(float) - shift
-    if isinstance(spec, Poisson):
-        return rng.poisson(spec.lam, size=n).astype(float) - shift
-    if isinstance(spec, RademacherSum):
-        return 2.0 * rng.binomial(spec.k, 0.5, size=n).astype(float) - spec.k
-    if isinstance(spec, Normal):
-        return rng.normal(0.0, math.sqrt(spec.sigma2), size=n)
 
-    if isinstance(spec, IrwinHall):
-        k = spec.k
-        out = np.empty(n, dtype=float)
-        rows = max(1, _CHUNK_ELEMS // k)
-        pos = 0
-        while pos < n:
-            m = min(rows, n - pos)
-            out[pos:pos + m] = rng.random((m, k)).sum(axis=1)
-            pos += m
-        return out - shift
+def _row_sums(n: int, k: int, rows_of) -> np.ndarray:
+    """n sums of k summands, drawn ``rows_of(m)`` in chunks of bounded size."""
+    out = np.empty(n, dtype=float)
+    rows = max(1, _CHUNK_ELEMS // k)
+    pos = 0
+    while pos < n:
+        m = min(rows, n - pos)
+        out[pos:pos + m] = rows_of(m)
+        pos += m
+    return out
 
-    if isinstance(spec, WeightedChiSq):
-        u = spec.u.as_array()
-        k = len(u)
-        out = np.empty(n, dtype=float)
-        rows = max(1, _CHUNK_ELEMS // k)
-        pos = 0
-        while pos < n:
-            m = min(rows, n - pos)
-            z = rng.standard_normal((m, k))
-            out[pos:pos + m] = (z * z) @ u
-            pos += m
-        return out - shift
 
-    raise UnsupportedFamilyError(f"no sampler for {spec!r}")
+def _weighted_chisq_draw(spec: WeightedChiSq, rng: np.random.Generator, n: int) -> np.ndarray:
+    u = spec.u.as_array()
+
+    def rows_of(m):
+        z = rng.standard_normal((m, len(u)))
+        return (z * z) @ u
+
+    return _row_sums(n, len(u), rows_of)
+
+
+def _integer_support_x(mu: float, side: Side, end: int) -> list[float]:
+    """Centered thresholds of an integer-valued Y on {0, ..., end - 1}."""
+    if side is Side.UPPER:
+        return [j - mu for j in range(math.ceil(mu - 1e-9), end)]
+    return [mu - j for j in range(math.floor(mu + 1e-9), -1, -1)]
+
+
+def _unbounded_above(spec, mu):
+    return math.inf, mu
+
+
+_FAMILY: dict[type, _Family] = {
+    Gamma: _Family(
+        "gamma", mean=lambda s: s.alpha, variance=lambda s: s.alpha,
+        extent=_unbounded_above, cgf=_gamma_cgf, cgf_sup=lambda s: 1.0,
+        draw=lambda s, rng, n: rng.standard_gamma(s.alpha, size=n)),
+    ChiSq: _Family(
+        "chisq", mean=lambda s: float(s.k), variance=lambda s: 2.0 * s.k,
+        extent=_unbounded_above, cgf=_chisq_cgf, cgf_sup=lambda s: 0.5,
+        draw=lambda s, rng, n: rng.chisquare(s.k, size=n)),
+    WeightedChiSq: _Family(
+        "weighted_chisq", mean=lambda s: math.fsum(s.u.u), variance=lambda s: 2.0 * s.u.l2_sq,
+        extent=_unbounded_above, draw=_weighted_chisq_draw,
+        cgf=_weighted_chisq_cgf, cgf_sup=lambda s: 1.0 / (2.0 * s.u.linf)),
+    NoncentralChiSq: _Family(
+        "noncentral_chisq", mean=lambda s: s.k + s.lam,
+        variance=lambda s: 2.0 * s.k + 4.0 * s.lam,
+        extent=_unbounded_above, cgf=_nc_chisq_cgf, cgf_sup=lambda s: 0.5,
+        draw=lambda s, rng, n: (rng.chisquare(s.k, size=n) if s.lam == 0.0
+                                else rng.noncentral_chisquare(s.k, s.lam, size=n))),
+    Beta: _Family(
+        "beta", mean=lambda s: s.alpha / (s.alpha + s.beta),
+        variance=lambda s: s.alpha * s.beta / ((s.alpha + s.beta) ** 2 * (s.alpha + s.beta + 1.0)),
+        extent=lambda s, mu: (1.0 - mu, mu),
+        draw=lambda s, rng, n: rng.beta(s.alpha, s.beta, size=n)),
+    Binomial: _Family(
+        "binomial", mean=lambda s: s.k * s.p, variance=lambda s: s.k * s.p * (1.0 - s.p),
+        extent=lambda s, mu: (s.k - mu, mu),
+        cgf=lambda s, t: s.k * (np.logaddexp(math.log1p(-s.p), math.log(s.p) + t) - s.p * t),
+        draw=lambda s, rng, n: rng.binomial(s.k, s.p, size=n).astype(float),
+        support_x=lambda s, side: _integer_support_x(s.k * s.p, side, s.k + 1)),
+    Poisson: _Family(
+        "poisson", mean=lambda s: s.lam, variance=lambda s: s.lam,
+        extent=_unbounded_above, cgf=lambda s, t: s.lam * (np.expm1(t) - t),
+        draw=lambda s, rng, n: rng.poisson(s.lam, size=n).astype(float),
+        support_x=lambda s, side: _integer_support_x(
+            s.lam, side, int(s.lam + 20.0 * math.sqrt(s.lam) + 200.0))),
+    IrwinHall: _Family(
+        "irwin_hall", mean=lambda s: s.k / 2.0, variance=lambda s: s.k / 12.0,
+        extent=lambda s, mu: (s.k / 2.0, s.k / 2.0), cgf=_irwin_hall_cgf,
+        draw=lambda s, rng, n: _row_sums(n, s.k, lambda m: rng.random((m, s.k)).sum(axis=1))),
+    RademacherSum: _Family(
+        "rademacher", mean=lambda s: 0.0, variance=lambda s: float(s.k),
+        extent=lambda s, mu: (float(s.k), float(s.k)), cgf=_rademacher_cgf,
+        draw=lambda s, rng, n: 2.0 * rng.binomial(s.k, 0.5, size=n).astype(float) - s.k,
+        support_x=lambda s, side: [float(p) for p in (2 * j - s.k for j in range(s.k + 1))
+                                   if p >= 0]),
+    Normal: _Family(
+        "normal", mean=lambda s: 0.0, variance=lambda s: s.sigma2,
+        extent=lambda s, mu: (math.inf, math.inf), cgf=lambda s, t: 0.5 * s.sigma2 * t * t,
+        draw=lambda s, rng, n: rng.normal(0.0, math.sqrt(s.sigma2), size=n)),
+}
+_BY_NAME = {fam.name: cls for cls, fam in _FAMILY.items()}

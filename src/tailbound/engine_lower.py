@@ -420,4 +420,4 @@ def mgf_sandwich_from_tails(c2t: float, C2t: float, c3t: float, C3t: float) -> M
         u = 4.0 * c2t * math.exp(-C2t) * C2t * math.log(1.0 / c2t)
         cbar = math.log1p(u) / u
         c1 = min(1.0 / (8.0 * C2t), cbar * c2t * math.exp(-C2t) / 2.0)
-    return MgfSandwich(c1=c1, C1=C1, c2=1.0, C2=1.0, alpha=1.0, M=math.inf, two_sided=True)
+    return MgfSandwich(c1=c1, C1=C1, c2=1.0, C2=1.0, alpha=1.0, M=math.inf)

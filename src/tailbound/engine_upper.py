@@ -25,7 +25,6 @@ class MgfSandwich:
     C2: float
     alpha: float
     M: float
-    two_sided: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.c1 <= self.C1):

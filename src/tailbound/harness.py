@@ -21,11 +21,11 @@ from .dist_bounds import NUMERIC, BoundTier, lower_bound, upper_bound
 from .dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq,
     Poisson, RademacherSum, RngStream, Side, WeightedChiSq, WeightVector,
-    mean_shift, sample, spec_from_json, spec_to_json, support_extent, variance,
+    _family, sample, spec_from_json, spec_to_json, support_extent, variance,
 )
 from .engine_upper import BoundResult
 from .errors import DomainError, WindowError
-from .oracle import MonteCarloError, TailEstimate, clopper_pearson, exact_tail
+from .oracle import MonteCarloError, TailEstimate, _oracle, clopper_pearson, exact_tail
 
 DEFAULT_QUANTILES = (0.5, 0.25, 0.1, 0.05, 0.01, 1e-3, 1e-5, 1e-8)
 
@@ -114,30 +114,16 @@ class CertReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-_DISCRETE = (Binomial, Poisson, RademacherSum)
-
-
 def _is_mc_family(spec: DistSpec) -> bool:
-    return isinstance(spec, WeightedChiSq) or (isinstance(spec, IrwinHall) and spec.k > 30)
+    return _oracle(spec).monte_carlo(spec)
 
 
 def _discrete_support_x(spec: DistSpec, side: Side):
     """Attained centered thresholds x >= 0, shallow to deep."""
-    mu = mean_shift(spec)
-    if isinstance(spec, Binomial):
-        if side is Side.UPPER:
-            return [j - mu for j in range(math.ceil(mu - 1e-9), spec.k + 1)]
-        return [mu - j for j in range(math.floor(mu + 1e-9), -1, -1)]
-    if isinstance(spec, RademacherSum):
-        pts = [2 * j - spec.k for j in range(spec.k + 1)]
-        return [float(p) for p in pts if p >= 0]
-    if isinstance(spec, Poisson):
-        lam = spec.lam
-        if side is Side.UPPER:
-            hi = int(lam + 20.0 * math.sqrt(lam) + 200.0)
-            return [j - lam for j in range(math.ceil(lam - 1e-9), hi)]
-        return [lam - j for j in range(math.floor(lam + 1e-9), -1, -1)]
-    raise DomainError(f"not a discrete family: {spec!r}")
+    support_x = _family(spec).support_x
+    if support_x is None:
+        raise DomainError(f"not a discrete family: {spec!r}")
+    return support_x(spec, side)
 
 
 def bisect_quantile(spec: DistSpec, side: Side, q: float,
@@ -179,7 +165,7 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None):
         x = float(np.quantile(s, 1.0 - q))
         return max(0.0, x), None
 
-    if isinstance(spec, _DISCRETE):
+    if _family(spec).support_x is not None:
         best = None
         log_q = math.log(q)
         for x in _discrete_support_x(spec, side):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import specfun
 from .dist_model import (
@@ -75,10 +75,6 @@ class TailEstimate:
             "log_value": None if self.log_value == -math.inf else self.log_value,
             "error": err,
         }
-
-
-def _estimate(value: float, log_value: float, error: ErrorModel) -> TailEstimate:
-    return TailEstimate(value=value, log_value=log_value, error=error)
 
 
 _SNAP_TOL = 1e-9
@@ -255,6 +251,78 @@ def _chisq_tail(k: int, side: Side, x: float) -> tuple[float, float]:
     )
 
 
+def _normal_tail(spec: Normal, side: Side, x: float):
+    z = x / math.sqrt(spec.sigma2)
+    return specfun.normal_tail(z), specfun.log_normal_tail(z), ExactError(1e-14)
+
+
+def _gamma_tail(spec: Gamma, side: Side, x: float):
+    a = spec.alpha
+    if side is Side.UPPER:
+        v = specfun.reg_inc_gamma_upper(a, a + x)
+        lv = specfun.log_reg_inc_gamma_upper(a, a + x)
+    elif x >= a:
+        v, lv = 0.0, -math.inf
+    else:
+        v = specfun.reg_inc_gamma_lower(a, a - x)
+        lv = specfun.log_reg_inc_gamma_lower(a, a - x)
+    return v, lv, ExactError(1e-12)
+
+
+def _beta_tail(spec: Beta, side: Side, x: float):
+    a, b = spec.alpha, spec.beta
+    if side is Side.UPPER:
+        # P(Z >= mu + x) = P(1 - Z <= b/(a+b) - x) with 1 - Z ~ Beta(b, a)
+        a, b = b, a
+    z = a / (a + b) - x
+    if z <= 0.0:
+        return 0.0, -math.inf, ExactError(0.0)
+    return specfun.reg_inc_beta(a, b, z), specfun.log_reg_inc_beta(a, b, z), ExactError(1e-12)
+
+
+def _rademacher_tail(spec: RademacherSum, side: Side, x: float):
+    # X = 2B - k with B ~ Bin(k, 1/2); both sides reduce to the same index
+    m = _ceil_snap(0.5 * (spec.k + x))
+    return (*binom_upper_tail(spec.k, 0.5, m), ExactError(1e-14))
+
+
+def _irwin_hall_tail(spec: IrwinHall, side: Side, x: float):
+    # symmetric: both tails equal the CDF at k/2 - x
+    v = irwin_hall_cdf(spec.k, 0.5 * spec.k - x)
+    return v, math.log(v) if v > 0.0 else -math.inf, ExactError(1e-10)
+
+
+@dataclass(frozen=True)
+class _Oracle:
+    """Exact tail of one family: ``tail(spec, side, x)`` gives (value, log_value,
+    error); specs for which ``monte_carlo(spec)`` holds go to ``mc_tail``."""
+
+    tail: Callable | None
+    monte_carlo: Callable = lambda spec: False
+
+
+_ORACLES: dict[type, _Oracle] = {
+    Normal: _Oracle(_normal_tail),
+    Gamma: _Oracle(_gamma_tail),
+    ChiSq: _Oracle(lambda s, side, x: (*_chisq_tail(s.k, side, x), ExactError(1e-12))),
+    Beta: _Oracle(_beta_tail),
+    Binomial: _Oracle(lambda s, side, x: (*_binom_tail(s, side, x), ExactError(1e-14))),
+    Poisson: _Oracle(lambda s, side, x: (*_poisson_tail(s.lam, side, x), ExactError(1e-12))),
+    RademacherSum: _Oracle(_rademacher_tail),
+    IrwinHall: _Oracle(_irwin_hall_tail,
+                       monte_carlo=lambda s: s.k > _IRWIN_HALL_EXACT_MAX_K),
+    NoncentralChiSq: _Oracle(_nc_chisq_tail),
+    WeightedChiSq: _Oracle(None, monte_carlo=lambda s: True),
+}
+
+
+def _oracle(spec: DistSpec) -> _Oracle:
+    entry = _ORACLES.get(type(spec))
+    if entry is None:
+        raise UnsupportedFamilyError(f"no tail oracle for {spec!r}")
+    return entry
+
+
 def exact_tail(
     spec: DistSpec,
     side: Side,
@@ -264,82 +332,16 @@ def exact_tail(
 ) -> TailEstimate:
     """P(X >= x) for Upper, P(X <= -x) for Lower; x is a centered threshold >= 0.
 
-    All families are analytic except the weighted chi-square, which falls back
-    to ``mc_tail`` with (mc_n, mc_seed).
+    All families are analytic except the weighted chi-square and Irwin-Hall
+    beyond order 30, which fall back to ``mc_tail`` with (mc_n, mc_seed).
     """
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"tail threshold must be >= 0, got {x}")
     side = Side(side)
-
-    if isinstance(spec, Normal):
-        z = x / math.sqrt(spec.sigma2)
-        return _estimate(specfun.normal_tail(z), specfun.log_normal_tail(z), ExactError(1e-14))
-
-    if isinstance(spec, Gamma):
-        a = spec.alpha
-        if side is Side.UPPER:
-            v = specfun.reg_inc_gamma_upper(a, a + x)
-            lv = specfun.log_reg_inc_gamma_upper(a, a + x)
-        elif x >= a:
-            v, lv = 0.0, -math.inf
-        else:
-            v = specfun.reg_inc_gamma_lower(a, a - x)
-            lv = specfun.log_reg_inc_gamma_lower(a, a - x)
-        return _estimate(v, lv, ExactError(1e-12))
-
-    if isinstance(spec, ChiSq):
-        v, lv = _chisq_tail(spec.k, side, x)
-        return _estimate(v, lv, ExactError(1e-12))
-
-    if isinstance(spec, Beta):
-        a, b = spec.alpha, spec.beta
-        if side is Side.UPPER:
-            # P(Z >= mu + x) = P(1 - Z <= b/(a+b) - x) with 1 - Z ~ Beta(b, a)
-            z = b / (a + b) - x
-            if z <= 0.0:
-                return _estimate(0.0, -math.inf, ExactError(0.0))
-            v = specfun.reg_inc_beta(b, a, z)
-            lv = specfun.log_reg_inc_beta(b, a, z)
-        else:
-            z = a / (a + b) - x
-            if z <= 0.0:
-                return _estimate(0.0, -math.inf, ExactError(0.0))
-            v = specfun.reg_inc_beta(a, b, z)
-            lv = specfun.log_reg_inc_beta(a, b, z)
-        return _estimate(v, lv, ExactError(1e-12))
-
-    if isinstance(spec, Binomial):
-        v, lv = _binom_tail(spec, side, x)
-        return _estimate(v, lv, ExactError(1e-14))
-
-    if isinstance(spec, Poisson):
-        v, lv = _poisson_tail(spec.lam, side, x)
-        return _estimate(v, lv, ExactError(1e-12))
-
-    if isinstance(spec, RademacherSum):
-        k = spec.k
-        # X = 2B - k with B ~ Bin(k, 1/2); both sides reduce to the same index
-        m = _ceil_snap(0.5 * (k + x))
-        v, lv = binom_upper_tail(k, 0.5, m)
-        return _estimate(v, lv, ExactError(1e-14))
-
-    if isinstance(spec, IrwinHall):
-        k = spec.k
-        if k > _IRWIN_HALL_EXACT_MAX_K:
-            return mc_tail(spec, side, x, n=mc_n, seed=mc_seed)
-        # symmetric: both tails equal the CDF at k/2 - x
-        v = irwin_hall_cdf(k, 0.5 * k - x)
-        lv = math.log(v) if v > 0.0 else -math.inf
-        return _estimate(v, lv, ExactError(1e-10))
-
-    if isinstance(spec, NoncentralChiSq):
-        v, lv, err = _nc_chisq_tail(spec, side, x)
-        return _estimate(v, lv, err)
-
-    if isinstance(spec, WeightedChiSq):
+    entry = _oracle(spec)
+    if entry.monte_carlo(spec):
         return mc_tail(spec, side, x, n=mc_n, seed=mc_seed)
-
-    raise UnsupportedFamilyError(f"no tail oracle for {spec!r}")
+    return TailEstimate(*entry.tail(spec, side, x))
 
 
 def _beta_ppf(q: float, a: float, b: float) -> float:
@@ -403,4 +405,4 @@ def mc_tail(
     value = count / n
     lo, hi = clopper_pearson(count, n, confidence)
     log_value = math.log(value) if count > 0 else -math.inf
-    return _estimate(value, log_value, MonteCarloError(lo, hi, n, confidence))
+    return TailEstimate(value, log_value, MonteCarloError(lo, hi, n, confidence))

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 
 _MACHEP = 2.220446049250313e-16
 _FPMIN = 1e-300
 _MAX_ITER = 800
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MAX_SHAPE = 2.5e305  # ln Gamma overflows a double beyond about 2.56e305
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def _lower_series(a: float, y: float) -> tuple[float, float]:
         total += term
         if abs(term) < abs(total) * _MACHEP:
             return log_front, total
-    raise ArithmeticError(f"incomplete gamma series failed to converge (a={a}, y={y})")
+    raise TruncationError(f"incomplete gamma series failed to converge (a={a}, y={y})")
 
 
 def _upper_cf(a: float, y: float) -> tuple[float, float]:
@@ -95,7 +96,7 @@ def _upper_cf(a: float, y: float) -> tuple[float, float]:
         h *= delta
         if abs(delta - 1.0) < _MACHEP:
             return log_front, h
-    raise ArithmeticError(f"incomplete gamma continued fraction failed to converge (a={a}, y={y})")
+    raise TruncationError(f"incomplete gamma continued fraction failed to converge (a={a}, y={y})")
 
 
 def reg_inc_gamma_upper_series(a: float, y: float) -> float:
@@ -117,8 +118,8 @@ def reg_inc_gamma_upper_cf(a: float, y: float) -> float:
 
 
 def _check_gamma_args(a: float, y: float):
-    if not a > 0.0 or math.isnan(a):
-        raise DomainError(f"incomplete gamma requires a > 0, got a={a}")
+    if not 0.0 < a <= _MAX_SHAPE:
+        raise DomainError(f"incomplete gamma requires 0 < a <= {_MAX_SHAPE:g}, got a={a}")
     if y < 0.0 or math.isnan(y):
         raise DomainError(f"incomplete gamma requires y >= 0, got y={y}")
 
@@ -214,12 +215,13 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _MACHEP:
             return h
-    raise ArithmeticError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
+    raise TruncationError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
 
 
 def _check_beta_args(a: float, b: float, x: float):
-    if not (a > 0.0 and b > 0.0) or math.isnan(a) or math.isnan(b):
-        raise DomainError(f"incomplete beta requires a, b > 0, got a={a}, b={b}")
+    if not (a > 0.0 and b > 0.0 and a + b <= _MAX_SHAPE):
+        raise DomainError(f"incomplete beta requires a, b > 0 with a + b <= {_MAX_SHAPE:g}, "
+                          f"got a={a}, b={b}")
     if x < 0.0 or x > 1.0 or math.isnan(x):
         raise DomainError(f"incomplete beta requires 0 <= x <= 1, got x={x}")
 
@@ -317,15 +319,6 @@ def log_normal_tail(x: float) -> float:
     inv2 = 1.0 / (x * x)
     series = 1.0 + inv2 * (-1.0 + inv2 * (3.0 + inv2 * (-15.0 + inv2 * 105.0)))
     return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log(series)
-
-
-def log_diff_exp(la: float, lb: float) -> float:
-    """ln(exp(la) - exp(lb)) for la > lb, computed without overflow."""
-    if lb == -math.inf:
-        return la
-    if lb >= la:
-        raise DomainError("log_diff_exp requires la > lb")
-    return la + math.log1p(-math.exp(lb - la))
 
 
 def log_sum_exp(values) -> float:
