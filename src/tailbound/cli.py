@@ -165,7 +165,8 @@ def cmd_quantile(args) -> int:
     side = Side(args.side)
     if not (0.0 < args.q < 1.0):
         raise _CliUsage(f"--q must lie in (0, 1), got {args.q}")
-    x = bisect_quantile(spec, side, args.q)
+    seed = args.seed if args.seed is not None else _default_seed()
+    x = bisect_quantile(spec, side, args.q, seed=seed)
     _emit({"spec": json.loads(args.dist), "side": side.value, "q": args.q, "x": x},
           args.out, pretty=not args.json)
     return EXIT_OK

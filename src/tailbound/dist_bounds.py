@@ -318,18 +318,8 @@ def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
             return -math.inf
         return math.log(v) if v > 0.0 else -math.inf
 
-    lo = float(deltas[max(0, i - 1)])
-    hi = float(deltas[min(len(deltas) - 1, i + 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    for _ in range(60):
-        m1 = b - phi * (b - a)
-        m2 = a + phi * (b - a)
-        if log_val(m1) >= log_val(m2):
-            b = m2
-        else:
-            a = m1
-    best_d = 0.5 * (a + b)
+    best_d = specfun._golden_argmax(log_val, float(deltas[max(0, i - 1)]),
+                                    float(deltas[min(len(deltas) - 1, i + 1)]), 60)
     best_log = max(float(log_vals[i]), log_val(best_d))
     d_used = best_d if log_val(best_d) >= float(log_vals[i]) else float(deltas[i])
     return result_from_log(best_log, "reverse_chernoff", True, "binomial_reverse_chernoff",

@@ -15,8 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .dist_model import LogMgfSpec, Side
-from .engine_upper import BoundResult, MgfSandwich, chernoff_upper, result_from_log
+from .engine_upper import BoundResult, MgfSandwich, _mirrored, chernoff_upper, result_from_log
 from .errors import DomainError
+from .specfun import _golden_argmax
 
 
 @dataclass(frozen=True)
@@ -107,26 +108,16 @@ def pz_lower(s: MgfSandwich, x: float, lam: float | None = None) -> BoundResult:
     if best is None:
         return BoundResult(0.0, -math.inf, "pz", False, "paley_zygmund", {"feasible": False})
 
+    def log_value(lam_val: float) -> float:
+        got = candidate(lam_val)
+        return got[0] if got else -math.inf
+
     # golden refinement of lam inside the best grid cell
-    lo = float(lams[max(0, best_i - 1)])
-    hi = float(lams[min(len(lams) - 1, best_i + 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    for _ in range(80):
-        m1 = b - phi * (b - a)
-        m2 = a + phi * (b - a)
-        g1 = candidate(m1)
-        g2 = candidate(m2)
-        v1 = g1[0] if g1 else -math.inf
-        v2 = g2[0] if g2 else -math.inf
-        if v1 >= v2:
-            b = m2
-        else:
-            a = m1
-    for lam_ref in (0.5 * (a + b),):
-        got = candidate(lam_ref)
-        if got and got[0] > best[0]:
-            best = (got[0], got[1], lam_ref)
+    lam_ref = _golden_argmax(log_value, float(lams[max(0, best_i - 1)]),
+                             float(lams[min(len(lams) - 1, best_i + 1)]), 80)
+    got = candidate(lam_ref)
+    if got and got[0] > best[0]:
+        best = (got[0], got[1], lam_ref)
     return result_from_log(best[0], "pz", True, "paley_zygmund",
                            {"t": best[1], "lam": best[2]})
 
@@ -186,13 +177,6 @@ def evaluate_tail_lower(tail: TailLowerFn, x: float, certified: bool = True) -> 
     lv = math.log(v) if v > 0.0 else -math.inf
     return BoundResult(min(1.0, v), min(0.0, lv), "compose", certified and v > 0.0,
                        "sum_composition", dict(tail.params))
-
-
-def _mirrored(mgf: LogMgfSpec, side: Side):
-    """(logphi, sup_T) for the requested tail; Lower works on phi(-t)."""
-    if side is Side.UPPER:
-        return mgf.eval, mgf.domain.hi
-    return (lambda t: mgf.eval(np.negative(t))), -mgf.domain.lo
 
 
 def reverse_chernoff_objective(

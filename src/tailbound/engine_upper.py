@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .dist_model import LogMgfSpec, Side, WeightVector
 from .errors import DomainError
+from .specfun import _golden_min
 
 
 @dataclass(frozen=True)
@@ -76,31 +77,14 @@ def result_from_log(log_value: float, method: str, certified: bool, cite: str,
     )
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_GOLDEN_ITER = 200
-_BRACKET_TOL = 1e-12
 _ENDPOINT_SHRINK = 1e-9
 
 
-def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of a convex scalar function on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_MAX_GOLDEN_ITER):
-        if b - a < _BRACKET_TOL * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    t = x1 if f1 <= f2 else x2
-    return t, min(f1, f2)
+def _mirrored(mgf: LogMgfSpec, side: Side):
+    """(logphi, sup_T) for the requested tail; Lower works on phi(-t)."""
+    if side is Side.UPPER:
+        return mgf.eval, mgf.domain.hi
+    return (lambda t: mgf.eval(-t)), -mgf.domain.lo
 
 
 def chernoff_upper(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundResult:
@@ -112,13 +96,7 @@ def chernoff_upper(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundR
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"threshold must be >= 0, got {x}")
     side = Side(side)
-    if side is Side.UPPER:
-        sup = mgf.domain.hi
-        logphi = mgf.eval
-    else:
-        sup = -mgf.domain.lo
-        logphi = lambda t: mgf.eval(-t)  # noqa: E731
-
+    logphi, sup = _mirrored(mgf, side)
     if sup <= 0.0:
         return result_from_log(0.0, "chernoff", True, "chernoff",
                                {"t_star": 0.0, "note": "degenerate domain"})
@@ -140,9 +118,9 @@ def chernoff_upper(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundR
             prev = cand
         hi *= 2.0
     t_star, f_star = _golden_min(objective, 0.0, hi)
-    f_star = min(f_star, objective(0.0))
-    if objective(0.0) <= f_star:
-        t_star, f_star = 0.0, objective(0.0)
+    f_zero = objective(0.0)
+    if f_zero <= f_star:
+        t_star, f_star = 0.0, f_zero
     return result_from_log(f_star, "chernoff", True, "chernoff",
                            {"t_star": t_star, "side": side.value})
 

@@ -26,6 +26,7 @@ from .dist_model import (
 from .engine_upper import BoundResult
 from .errors import DomainError, WindowError
 from .oracle import MonteCarloError, TailEstimate, _oracle, clopper_pearson, exact_tail
+from .specfun import _bisect
 
 DEFAULT_QUANTILES = (0.5, 0.25, 0.1, 0.05, 0.01, 1e-3, 1e-5, 1e-8)
 
@@ -126,15 +127,14 @@ def _discrete_support_x(spec: DistSpec, side: Side):
     return support_x(spec, side)
 
 
-def bisect_quantile(spec: DistSpec, side: Side, q: float,
-                    mc_draws: np.ndarray | None = None) -> float:
+def bisect_quantile(spec: DistSpec, side: Side, q: float, seed: int = 0) -> float:
     """Centered threshold x whose exact tail is q.
 
     Continuous families bisect the analytic tail; discrete families return
     the attained support point whose tail is nearest q in log space; Monte
-    Carlo families use the empirical quantile of a cached (or fresh) sample.
+    Carlo families use the empirical quantile of 10**6 draws from ``seed``.
     """
-    x, _ = _bisect_quantile_flagged(spec, side, q, mc_draws)
+    x, _ = _bisect_quantile_flagged(spec, side, q, seed=seed)
     return x
 
 
@@ -155,13 +155,13 @@ def _mc_tail_from_draws(s: np.ndarray, x: float, confidence: float = 0.99) -> Ta
                         error=MonteCarloError(lo, hi, n, confidence))
 
 
-def _bisect_quantile_flagged(spec, side, q, mc_draws=None):
+def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
     if not (0.0 < q < 1.0):
         raise DomainError(f"need 0 < q < 1, got {q}")
     side = Side(side)
 
     if _is_mc_family(spec):
-        s = mc_draws if mc_draws is not None else _side_draws(spec, side, 0, 10**6)
+        s = mc_draws if mc_draws is not None else _side_draws(spec, side, seed, 10**6)
         x = float(np.quantile(s, 1.0 - q))
         return max(0.0, x), None
 
@@ -193,14 +193,7 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None):
             if tail(hi) < q:
                 break
             hi *= 2.0
-    lo = 0.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), None
+    return _bisect(lambda x: tail(x) > q, 0.0, hi, 90), None
 
 
 def _row_tasks(families, x_policy, tiers, seed, mc_n):

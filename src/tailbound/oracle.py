@@ -158,20 +158,14 @@ def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
     if m == 1:
         v = -math.expm1(-lam)
         return v, math.log1p(-math.exp(-lam))
-    return (
-        specfun.reg_inc_gamma_lower(m, lam),
-        specfun.log_reg_inc_gamma_lower(m, lam),
-    )
+    return specfun.inc_gamma(m, lam)[:2]
 
 
 def poisson_cdf_int(lam: float, j: int) -> tuple[float, float]:
     """P(Poisson(lam) <= j) as (value, log_value) via P(Gamma(j+1) >= lam)."""
     if j < 0:
         return 0.0, -math.inf
-    return (
-        specfun.reg_inc_gamma_upper(j + 1, lam),
-        specfun.log_reg_inc_gamma_upper(j + 1, lam),
-    )
+    return specfun.inc_gamma(j + 1, lam)[2:]
 
 
 def _poisson_tail(lam: float, side: Side, x: float) -> tuple[float, float]:
@@ -201,15 +195,12 @@ def irwin_hall_cdf(k: int, y: float) -> float:
 _IRWIN_HALL_EXACT_MAX_K = 30
 
 
-def _nc_chisq_weights(lam_half: float) -> list[float]:
-    """Poisson(lam/2) weights, truncated once the remaining tail is < 1e-14."""
+def _nc_chisq_last_index(lam_half: float) -> int:
+    """Last Poisson(lam/2) mixture index kept: the remaining weight is < 1e-14."""
     j = int(lam_half + 10.0 * math.sqrt(lam_half) + 20.0)
     while specfun.log_reg_inc_gamma_lower(j + 1, lam_half) >= math.log(1e-14):
         j += max(2, int(0.1 * j))
-    w = [math.exp(-lam_half)]
-    for i in range(1, j + 1):
-        w.append(w[-1] * lam_half / i)
-    return w
+    return j
 
 
 def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, float, ErrorModel]:
@@ -220,10 +211,9 @@ def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, 
     z = (k + lam) + x if side is Side.UPPER else (k + lam) - x
     if side is Side.LOWER and z <= 0.0:
         return 0.0, -math.inf, ExactError(abs_tol=0.0)
-    weights = _nc_chisq_weights(0.5 * lam)
     logs = []
     log_w = -0.5 * lam
-    for j, w in enumerate(weights):
+    for j in range(_nc_chisq_last_index(0.5 * lam) + 1):
         if j > 0:
             log_w += math.log(0.5 * lam) - math.log(j)
         a = 0.5 * (k + 2 * j)
@@ -239,16 +229,10 @@ def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, 
 
 def _chisq_tail(k: int, side: Side, x: float) -> tuple[float, float]:
     if side is Side.UPPER:
-        return (
-            specfun.reg_inc_gamma_upper(0.5 * k, 0.5 * (k + x)),
-            specfun.log_reg_inc_gamma_upper(0.5 * k, 0.5 * (k + x)),
-        )
+        return specfun.inc_gamma(0.5 * k, 0.5 * (k + x))[2:]
     if x >= k:
         return 0.0, -math.inf
-    return (
-        specfun.reg_inc_gamma_lower(0.5 * k, 0.5 * (k - x)),
-        specfun.log_reg_inc_gamma_lower(0.5 * k, 0.5 * (k - x)),
-    )
+    return specfun.inc_gamma(0.5 * k, 0.5 * (k - x))[:2]
 
 
 def _normal_tail(spec: Normal, side: Side, x: float):
@@ -259,13 +243,11 @@ def _normal_tail(spec: Normal, side: Side, x: float):
 def _gamma_tail(spec: Gamma, side: Side, x: float):
     a = spec.alpha
     if side is Side.UPPER:
-        v = specfun.reg_inc_gamma_upper(a, a + x)
-        lv = specfun.log_reg_inc_gamma_upper(a, a + x)
+        v, lv = specfun.inc_gamma(a, a + x)[2:]
     elif x >= a:
         v, lv = 0.0, -math.inf
     else:
-        v = specfun.reg_inc_gamma_lower(a, a - x)
-        lv = specfun.log_reg_inc_gamma_lower(a, a - x)
+        v, lv = specfun.inc_gamma(a, a - x)[:2]
     return v, lv, ExactError(1e-12)
 
 
@@ -277,7 +259,7 @@ def _beta_tail(spec: Beta, side: Side, x: float):
     z = a / (a + b) - x
     if z <= 0.0:
         return 0.0, -math.inf, ExactError(0.0)
-    return specfun.reg_inc_beta(a, b, z), specfun.log_reg_inc_beta(a, b, z), ExactError(1e-12)
+    return (*specfun.inc_beta(a, b, z), ExactError(1e-12))
 
 
 def _rademacher_tail(spec: RademacherSum, side: Side, x: float):
@@ -346,14 +328,7 @@ def exact_tail(
 
 def _beta_ppf(q: float, a: float, b: float) -> float:
     """Inverse of the regularized incomplete beta, by bisection."""
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if specfun.reg_inc_beta(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return specfun._bisect(lambda t: specfun.reg_inc_beta(a, b, t) < q, 0.0, 1.0, 100)
 
 
 def clopper_pearson(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -1,10 +1,16 @@
-"""Numerically robust scalar special functions.
+"""Numerically robust scalar special functions and the package's scalar searches.
 
-Everything here is pure and thread-safe: plain floats in, plain floats out.
-The incomplete gamma and beta integrals follow the classic Cephes evaluation
-strategy (power series on one side of the crossover, continued fraction on
-the other).  Tail-valued functions come with log-space twins so callers can
-work below the double underflow threshold.
+Everything here is pure and thread-safe.  The incomplete gamma and beta
+integrals follow the classic Cephes evaluation strategy (power series on one
+side of the crossover, continued fraction on the other).  ``inc_gamma`` and
+``inc_beta`` make that choice once per call and return pair evaluations: the
+value with its log (for gamma, on both sides), so a caller gets a tail and its
+log from one evaluation and can work below the double underflow threshold.
+The single-value functions are views of these pairs.
+
+Scalar searches: ``_golden_min`` (golden section to a tolerance),
+``_golden_argmax`` (fixed-step golden section) and ``_bisect`` (fixed-step
+bisection).
 """
 
 from __future__ import annotations
@@ -124,61 +130,50 @@ def _check_gamma_args(a: float, y: float):
         raise DomainError(f"incomplete gamma requires y >= 0, got y={y}")
 
 
-def reg_inc_gamma_upper(a: float, y: float) -> float:
-    """Regularized upper incomplete gamma Q(a, y) = P(Gamma(a) >= y).
+def _log1m(p: float) -> float:
+    """ln(1 - p); -inf once p rounds to 1 or beyond."""
+    if p < 1.0:
+        return math.log1p(-p)
+    return -math.inf
 
-    Series route for y < a + 1, continued fraction otherwise.
+
+def inc_gamma(a: float, y: float) -> tuple[float, float, float, float]:
+    """(P, ln P, Q, ln Q) for the regularized incomplete gamma at (a, y).
+
+    P(a, y) = P(Gamma(a) <= y) and Q = 1 - P.  One evaluation serves all four:
+    the power series for y < a + 1, the continued fraction otherwise, and the
+    other side as the complement.  The logs stay finite where P or Q underflows.
     """
     _check_gamma_args(a, y)
     if y == 0.0:
-        return 1.0
+        return 0.0, -math.inf, 1.0, 0.0
     if y < a + 1.0:
         log_front, total = _lower_series(a, y)
-        return 1.0 - math.exp(log_front) * total
+        p = math.exp(log_front) * total
+        return p, log_front + math.log(total), 1.0 - p, _log1m(p)
     log_front, h = _upper_cf(a, y)
-    return math.exp(log_front) * h
+    q = math.exp(log_front) * h
+    return 1.0 - q, _log1m(q), q, log_front + math.log(h)
+
+
+def reg_inc_gamma_upper(a: float, y: float) -> float:
+    """Regularized upper incomplete gamma Q(a, y) = P(Gamma(a) >= y)."""
+    return inc_gamma(a, y)[2]
 
 
 def reg_inc_gamma_lower(a: float, y: float) -> float:
     """Regularized lower incomplete gamma P(a, y) = P(Gamma(a) <= y)."""
-    _check_gamma_args(a, y)
-    if y == 0.0:
-        return 0.0
-    if y < a + 1.0:
-        log_front, total = _lower_series(a, y)
-        return math.exp(log_front) * total
-    log_front, h = _upper_cf(a, y)
-    return 1.0 - math.exp(log_front) * h
+    return inc_gamma(a, y)[0]
 
 
 def log_reg_inc_gamma_upper(a: float, y: float) -> float:
     """ln Q(a, y); finite even where Q underflows."""
-    _check_gamma_args(a, y)
-    if y == 0.0:
-        return 0.0
-    if y < a + 1.0:
-        log_front, total = _lower_series(a, y)
-        p = math.exp(log_front) * total
-        if p < 1.0:
-            return math.log1p(-p)
-        return -math.inf
-    log_front, h = _upper_cf(a, y)
-    return log_front + math.log(h)
+    return inc_gamma(a, y)[3]
 
 
 def log_reg_inc_gamma_lower(a: float, y: float) -> float:
     """ln P(a, y); finite even where P underflows."""
-    _check_gamma_args(a, y)
-    if y == 0.0:
-        return -math.inf
-    if y < a + 1.0:
-        log_front, total = _lower_series(a, y)
-        return log_front + math.log(total)
-    log_front, h = _upper_cf(a, y)
-    q = math.exp(log_front) * h
-    if q < 1.0:
-        return math.log1p(-q)
-    return -math.inf
+    return inc_gamma(a, y)[1]
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -234,35 +229,34 @@ def _log_beta_front(a: float, b: float, x: float) -> float:
     )
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) = P(Beta(a, b) <= x).
+def inc_beta(a: float, b: float, x: float) -> tuple[float, float]:
+    """(I, ln I) for the regularized incomplete beta I_x(a, b) = P(Beta(a, b) <= x).
 
     The continued fraction is applied on the small side of the mean
     a / (a + b); the other side goes through I_x(a,b) = 1 - I_{1-x}(b,a).
+    ln I stays finite where I underflows.
     """
     _check_beta_args(a, b, x)
     if x == 0.0:
-        return 0.0
+        return 0.0, -math.inf
     if x == 1.0:
-        return 1.0
+        return 1.0, 0.0
     if x > a / (a + b):
-        return 1.0 - reg_inc_beta(b, a, 1.0 - x)
-    return math.exp(_log_beta_front(a, b, x)) * _betacf(a, b, x) / a
+        comp = inc_beta(b, a, 1.0 - x)[0]
+        return 1.0 - comp, _log1m(comp)
+    log_front = _log_beta_front(a, b, x)
+    cf = _betacf(a, b, x)
+    return math.exp(log_front) * cf / a, log_front + math.log(cf / a)
+
+
+def reg_inc_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) = P(Beta(a, b) <= x)."""
+    return inc_beta(a, b, x)[0]
 
 
 def log_reg_inc_beta(a: float, b: float, x: float) -> float:
     """ln I_x(a, b); finite even where the direct value underflows."""
-    _check_beta_args(a, b, x)
-    if x == 0.0:
-        return -math.inf
-    if x == 1.0:
-        return 0.0
-    if x > a / (a + b):
-        comp = reg_inc_beta(b, a, 1.0 - x)
-        if comp < 1.0:
-            return math.log1p(-comp)
-        return -math.inf
-    return _log_beta_front(a, b, x) + math.log(_betacf(a, b, x) / a)
+    return inc_beta(a, b, x)[1]
 
 
 def bernoulli_kl(u: float, v: float) -> float:
@@ -330,3 +324,56 @@ def log_sum_exp(values) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_GOLDEN_ITER = 200
+_BRACKET_TOL = 1e-12
+
+
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimum of a convex scalar function on [lo, hi]."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_MAX_GOLDEN_ITER):
+        if b - a < _BRACKET_TOL * max(1.0, abs(a) + abs(b)):
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    t = x1 if f1 <= f2 else x2
+    return t, min(f1, f2)
+
+
+def _golden_argmax(f, lo: float, hi: float, iters: int) -> float:
+    """Midpoint of the bracket left after ``iters`` golden-section steps
+    towards the maximum of f on [lo, hi]; both inner points are evaluated
+    afresh at each step."""
+    a, b = lo, hi
+    for _ in range(iters):
+        m1 = b - _GOLDEN * (b - a)
+        m2 = a + _GOLDEN * (b - a)
+        if f(m1) >= f(m2):
+            b = m2
+        else:
+            a = m1
+    return 0.5 * (a + b)
+
+
+def _bisect(below, lo: float, hi: float, iters: int) -> float:
+    """Midpoint of the bracket left after ``iters`` bisection steps on
+    [lo, hi], where ``below(t)`` says the sought point lies above t."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -186,3 +186,24 @@ def test_config_file_flags_win(tmp_path, capsys):
         capsys, "classify", "--mu", "1", "--lambda", "2", "--eps", "0.5",
         "--simulate", "5000", "--config", str(cfg), "--seed", "7", "--json")
     assert json.loads(out_win) != json.loads(out_cfg)
+
+
+_WCHISQ = '{"family":"weighted_chisq","params":{"weights":[1.0,0.5]}}'
+
+
+def test_quantile_monte_carlo_family_uses_seed(capsys, monkeypatch):
+    from tailbound import Side, bisect_quantile, spec_from_json
+
+    def quantile_x(*extra):
+        code, out, _ = run_cli(capsys, "quantile", "--dist", _WCHISQ, "--side", "upper",
+                               "--q", "0.01", "--json", *extra)
+        assert code == 0
+        return json.loads(out)["x"]
+
+    x1, x2, x0 = quantile_x("--seed", "1"), quantile_x("--seed", "2"), quantile_x("--seed", "0")
+    assert x1 != x2
+    assert x0 == bisect_quantile(spec_from_json(json.loads(_WCHISQ)), Side.UPPER, 0.01)
+    monkeypatch.setenv("TAILBOUND_SEED", "1")
+    assert quantile_x() == x1
+    monkeypatch.setenv("TAILBOUND_SEED", "2")
+    assert quantile_x() == x2

@@ -223,3 +223,105 @@ def test_log_normal_tail_matches_direct_and_extends():
     assert math.isfinite(lv)
     approx = -0.5 * 60.0 ** 2 - math.log(60.0 * math.sqrt(2.0 * math.pi))
     assert abs(lv - approx) < 1e-3
+
+
+# pair evaluations -----------------------------------------------------------
+# The references below are the per-function formulas the pair evaluations
+# replaced; every field must match them bit for bit.
+
+def _ref_gamma(a, y):
+    if y == 0.0:
+        return 0.0, -math.inf, 1.0, 0.0
+    if y < a + 1.0:
+        log_front, total = sf._lower_series(a, y)
+        p = math.exp(log_front) * total
+        return p, log_front + math.log(total), 1.0 - math.exp(log_front) * total, (
+            math.log1p(-p) if p < 1.0 else -math.inf)
+    log_front, h = sf._upper_cf(a, y)
+    q = math.exp(log_front) * h
+    return 1.0 - math.exp(log_front) * h, (
+        math.log1p(-q) if q < 1.0 else -math.inf), q, log_front + math.log(h)
+
+
+def _ref_beta(a, b, x):
+    if x == 0.0:
+        return 0.0, -math.inf
+    if x == 1.0:
+        return 1.0, 0.0
+    if x > a / (a + b):
+        comp = _ref_beta(b, a, 1.0 - x)[0]
+        return 1.0 - comp, math.log1p(-comp) if comp < 1.0 else -math.inf
+    return (math.exp(sf._log_beta_front(a, b, x)) * sf._betacf(a, b, x) / a,
+            sf._log_beta_front(a, b, x) + math.log(sf._betacf(a, b, x) / a))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _around(t):
+    return (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 37.0])
+def test_inc_gamma_fields_match_views_and_reference(a):
+    for y in (0.0, 1e-3, 0.5 * a, *_around(a + 1.0), 3.0 * a + 5.0, 40.0 * a + 60.0):
+        got = sf.inc_gamma(a, y)
+        views = (sf.reg_inc_gamma_lower(a, y), sf.log_reg_inc_gamma_lower(a, y),
+                 sf.reg_inc_gamma_upper(a, y), sf.log_reg_inc_gamma_upper(a, y))
+        assert _bits(got) == _bits(views) == _bits(_ref_gamma(a, y)), (a, y)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.0, 3.0), (8.0, 3.0), (30.0, 0.7)])
+def test_inc_beta_fields_match_views_and_reference(a, b):
+    for x in (0.0, 1.0, 1e-6, 0.05, *_around(a / (a + b)), 0.95, 1.0 - 1e-9):
+        got = sf.inc_beta(a, b, x)
+        views = (sf.reg_inc_beta(a, b, x), sf.log_reg_inc_beta(a, b, x))
+        assert _bits(got) == _bits(views) == _bits(_ref_beta(a, b, x)), (a, b, x)
+
+
+def test_inc_pairs_check_arguments():
+    with pytest.raises(DomainError):
+        sf.inc_gamma(0.0, 1.0)
+    with pytest.raises(DomainError):
+        sf.inc_gamma(1.0, -1.0)
+    with pytest.raises(DomainError):
+        sf.inc_beta(1.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("family,side,x", [
+    ("gamma", "upper", 1.0), ("gamma", "lower", 1.0), ("gamma", "upper", 9.0),
+    ("chisq", "upper", 2.0), ("chisq", "lower", 2.0),
+    ("poisson", "upper", 2.0), ("poisson", "lower", 1.0), ("poisson", "lower", 2.0),
+    ("poisson", "upper", 12.0),
+    ("beta", "upper", 0.1), ("beta", "lower", 0.1), ("beta", "upper", 0.35),
+])
+def test_exact_tail_evaluates_one_route(monkeypatch, family, side, x):
+    from tailbound import Beta, ChiSq, Gamma, Poisson, Side, exact_tail
+
+    specs = {"gamma": Gamma(2.5), "chisq": ChiSq(4), "poisson": Poisson(3.0),
+             "beta": Beta(2.0, 3.0)}
+    calls = []
+    for name in ("_lower_series", "_upper_cf", "_betacf"):
+        inner = getattr(sf, name)
+        monkeypatch.setattr(sf, name, lambda *args, _f=inner, _n=name: (calls.append(_n), _f(*args))[1])
+    exact_tail(specs[family], Side(side), x)
+    assert len(calls) == 1, calls
+
+
+# scalar searches ------------------------------------------------------------
+
+def test_bisect_finds_root():
+    root = sf._bisect(lambda t: t * t < 2.0, 0.0, 2.0, 60)
+    assert abs(root - math.sqrt(2.0)) < 1e-15
+
+
+def test_golden_argmax_finds_maximiser():
+    arg = sf._golden_argmax(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, 80)
+    assert abs(arg - 0.3) < 1e-7
+
+
+def test_golden_min_finds_minimum():
+    t, f = sf._golden_min(lambda t: (t - 1.5) ** 2 + 2.0, 0.0, 4.0)
+    assert abs(t - 1.5) < 1e-6
+    assert abs(f - 2.0) < 1e-12
