@@ -125,10 +125,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _merge_config(args, {"seed": int, "threads": int, "mc_reps": int,
+    _merge_config(args, {"seed": int, "mc_reps": int,
                          "out": str, "families": str, "quantiles": str})
     seed = args.seed if args.seed is not None else _default_seed()
-    threads = args.threads if args.threads is not None else 1
     mc_reps = args.mc_reps if args.mc_reps is not None else 10**6
     if args.families is None or args.families == "all":
         families = DEFAULT_FAMILIES
@@ -151,7 +150,6 @@ def cmd_verify(args) -> int:
         families=families,
         x_policy=QuantileGrid(quantiles),
         seed=seed,
-        threads=threads,
         mc_n=mc_reps,
         fault_lower_scale=fault,
     )
@@ -284,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="certification sweep")
     p.add_argument("--families", type=str, default=None, help="all or comma list")
     p.add_argument("--quantiles", type=str, default=None, help="comma list of tail depths")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--mc-reps", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -46,6 +46,11 @@ class BoundTier:
     c_default: float = 1.0
     C_default: float = 1.0
 
+    def __post_init__(self):
+        if not (0.0 < self.c_default < math.inf and 0.0 < self.C_default < math.inf):
+            raise DomainError(f"rate constants need finite c, C > 0, "
+                              f"got ({self.c_default}, {self.C_default})")
+
 
 CLOSED_FORM = BoundTier(Tier.CLOSED_FORM)
 NUMERIC = BoundTier(Tier.NUMERIC)
@@ -395,29 +400,33 @@ def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
 # rate forms: (rate value, rate description, window description)
 # ---------------------------------------------------------------------------
 
+# Window constants: left tails stay within (scale)/beta, beta tails within
+# edge/(eta (alpha+beta)); both must exceed 1.
+_WINDOW_BETA = 2.0
+_WINDOW_ETA = 2.0
 
-def _gamma_rate(spec: Gamma, side: Side, x: float, beta_param: float, eta: float):
+
+def _gamma_rate(spec: Gamma, side: Side, x: float):
     a = spec.alpha
     if side is Side.UPPER:
         return min(x, x * x / a), "min(x, x^2/alpha)", "x >= 0"
-    win = a / beta_param
+    win = a / _WINDOW_BETA
     if x > win:
         raise WindowError(f"gamma left-tail rate form requires x <= alpha/beta = {win}")
-    return x * x / a, "x^2/alpha", f"0 <= x <= alpha/{beta_param}"
+    return x * x / a, "x^2/alpha", f"0 <= x <= alpha/{_WINDOW_BETA}"
 
 
-def _chisq_rate(spec: ChiSq, side: Side, x: float, beta_param: float, eta: float):
+def _chisq_rate(spec: ChiSq, side: Side, x: float):
     k = float(spec.k)
     if side is Side.UPPER:
         return min(x, x * x / k), "min(x, x^2/k)", "x > 0"
-    win = k / beta_param
+    win = k / _WINDOW_BETA
     if x > win:
         raise WindowError(f"chi-square left-tail rate form requires x <= k/beta = {win}")
-    return x * x / k, "x^2/k", f"0 < x <= k/{beta_param}"
+    return x * x / k, "x^2/k", f"0 < x <= k/{_WINDOW_BETA}"
 
 
-def _weighted_chisq_rate(spec: WeightedChiSq, side: Side, x: float, beta_param: float,
-                         eta: float):
+def _weighted_chisq_rate(spec: WeightedChiSq, side: Side, x: float):
     u = spec.u
     knee = u.l2_sq / u.linf
     if side is Side.UPPER:
@@ -430,75 +439,73 @@ def _weighted_chisq_rate(spec: WeightedChiSq, side: Side, x: float, beta_param: 
     return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
 
 
-def _nc_chisq_rate(spec: NoncentralChiSq, side: Side, x: float, beta_param: float,
-                   eta: float):
+def _nc_chisq_rate(spec: NoncentralChiSq, side: Side, x: float):
     a = spec.k + 2.0 * spec.lam
     if side is Side.UPPER:
         if x <= a:
             return x * x / a, "x^2/(k+2 lambda)", "0 <= x <= k+2 lambda"
         return x, "x", "x >= k+2 lambda"
-    win = (spec.k + spec.lam) / beta_param
+    win = (spec.k + spec.lam) / _WINDOW_BETA
     if x > win:
         raise WindowError(
             f"noncentral chi-square left-tail rate form requires x <= (k+lambda)/beta = {win}")
-    return x * x / a, "x^2/(k+2 lambda)", f"0 < x <= (k+lambda)/{beta_param}"
+    return x * x / a, "x^2/(k+2 lambda)", f"0 < x <= (k+lambda)/{_WINDOW_BETA}"
 
 
-def _beta_rate(spec: Beta, side: Side, x: float, beta_param: float, eta: float):
+def _beta_rate(spec: Beta, side: Side, x: float):
     _require_beta_bound_params(spec)
     a, b = spec.alpha, spec.beta
     edge = b if side is Side.UPPER else a
-    win = edge / (eta * (a + b))
+    win = edge / (_WINDOW_ETA * (a + b))
     if x > win:
         raise WindowError(
             f"beta rate form requires x <= {'beta' if side is Side.UPPER else 'alpha'}"
             f"/(eta (alpha+beta)) = {win}")
     rate, desc = _beta_regime_rate(a, b, x, side)
-    return rate, desc, f"0 < x <= edge/(eta(alpha+beta)), eta={eta}"
+    return rate, desc, f"0 < x <= edge/(eta(alpha+beta)), eta={_WINDOW_ETA}"
 
 
-def _binomial_rate(spec: Binomial, side: Side, x: float, beta_param: float, eta: float):
+def _binomial_rate(spec: Binomial, side: Side, x: float):
     k, p = spec.k, spec.p
     if side is Side.UPPER:
-        win = k * (1.0 - p) / beta_param
+        win = k * (1.0 - p) / _WINDOW_BETA
         if x > win or k * p + x < 1.0:
             raise WindowError(
                 f"binomial upper-tail rate form requires kp + x >= 1 and x <= k(1-p)/beta = {win}")
         return k * specfun.bernoulli_kl(p, p + x / k), "k h_p(p + x/k)", \
-            f"kp+x >= 1, x <= k(1-p)/{beta_param}"
-    win = k * p / beta_param
+            f"kp+x >= 1, x <= k(1-p)/{_WINDOW_BETA}"
+    win = k * p / _WINDOW_BETA
     if x > win or k * (1.0 - p) + x < 1.0:
         raise WindowError(
             f"binomial left-tail rate form requires k(1-p) + x >= 1 and x <= kp/beta = {win}")
     return k * specfun.bernoulli_kl(p, p - x / k), "k h_p(p - x/k)", \
-        f"k(1-p)+x >= 1, x <= kp/{beta_param}"
+        f"k(1-p)+x >= 1, x <= kp/{_WINDOW_BETA}"
 
 
-def _poisson_rate(spec: Poisson, side: Side, x: float, beta_param: float, eta: float):
+def _poisson_rate(spec: Poisson, side: Side, x: float):
     lam = spec.lam
     if side is Side.UPPER:
         if lam + x < 1.0:
             raise WindowError("poisson upper-tail rate form requires x + lambda >= 1")
         return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", "x + lambda >= 1"
-    win = lam / beta_param
+    win = lam / _WINDOW_BETA
     if x > win:
         raise WindowError(f"poisson left-tail rate form requires x <= lambda/beta = {win}")
-    return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", f"0 <= x <= lambda/{beta_param}"
+    return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", f"0 <= x <= lambda/{_WINDOW_BETA}"
 
 
-def _irwin_hall_rate(spec: IrwinHall, side: Side, x: float, beta_param: float, eta: float):
+def _irwin_hall_rate(spec: IrwinHall, side: Side, x: float):
     win = spec.k / 4.0
     if x > win:
         raise WindowError(f"irwin-hall rate form requires x <= k/4 = {win}")
     return x * x / spec.k, "x^2/k", "0 <= x <= k/4"
 
 
-def _rademacher_rate(spec: RademacherSum, side: Side, x: float, beta_param: float,
-                     eta: float):
-    win = spec.k / beta_param
+def _rademacher_rate(spec: RademacherSum, side: Side, x: float):
+    win = spec.k / _WINDOW_BETA
     if x > win:
         raise WindowError(f"rademacher rate form requires x <= k/beta = {win}")
-    return x * x / spec.k, "x^2/k", f"0 <= x <= k/{beta_param}"
+    return x * x / spec.k, "x^2/k", f"0 <= x <= k/{_WINDOW_BETA}"
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +518,7 @@ class _Bounds:
     """The bound catalog of one family; every entry is a function of the spec."""
 
     upper: Callable  # (spec, side, x, tier) -> closed-form upper bound
-    rate: Callable  # (spec, side, x, beta_param, eta) -> rate-form (rate, desc, window)
+    rate: Callable  # (spec, side, x) -> rate-form (rate, desc, window)
     special: Callable = _none  # (spec, side, x) -> exact zero/boundary value or None
     sandwich: Callable | None = None  # (spec, side) -> MgfSandwich, if the family has one
     closed_lower: Callable = _none  # (spec, side, x) -> lower bound serving every tier
@@ -521,7 +528,7 @@ class _Bounds:
 _BOUNDS: dict[type, _Bounds] = {
     Normal: _Bounds(
         upper=lambda s, side, x, tier: _closed(-x * x / (2.0 * s.sigma2), "gaussian_chernoff"),
-        rate=lambda s, side, x, beta_param, eta: (
+        rate=lambda s, side, x: (
             x * x / (2.0 * s.sigma2), "x^2/(2 sigma^2)", "x >= 0"),
         sandwich=lambda s, side: MgfSandwich(0.5, 0.5, 1.0, 1.0, s.sigma2, math.inf)),
     Gamma: _Bounds(
@@ -607,18 +614,14 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
     return entry.upper(spec, side, x, tier)
 
 
-def rate_info(spec: DistSpec, side: Side, x: float,
-              beta_param: float = 2.0, eta: float = 2.0) -> tuple[float, str, str]:
+def rate_info(spec: DistSpec, side: Side, x: float) -> tuple[float, str, str]:
     """(rate value, rate description, window description) for the rate-form
     lower bound; raises WindowError outside the stated validity window."""
-    if beta_param <= 1.0 or eta <= 1.0:
-        raise DomainError("window parameters beta and eta must exceed 1")
-    return _bounds(spec).rate(spec, Side(side), x, beta_param, eta)
+    return _bounds(spec).rate(spec, Side(side), x)
 
 
 def lower_bound(spec: DistSpec, side: Side, x: float,
-                tier: BoundTier = NUMERIC,
-                beta_param: float = 2.0, eta: float = 2.0) -> BoundResult:
+                tier: BoundTier = NUMERIC) -> BoundResult:
     """Lower bound on the tail at the requested tier.
 
     Exact boundary and support-zero values short-circuit every tier; the
@@ -636,7 +639,7 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
         return region
 
     if tier.tier is Tier.RATE:
-        rate, desc, window = rate_info(spec, side, x, beta_param=beta_param, eta=eta)
+        rate, desc, window = rate_info(spec, side, x)
         lv = math.log(tier.c_default) - tier.C_default * rate
         return result_from_log(lv, "rate_form", False, "rate_form",
                                {"rate": desc, "window": window,
@@ -655,8 +658,8 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
 # ---------------------------------------------------------------------------
 
 
-def fit_rate_constants(family: str, side: Side, grid: list, n_mc: int = 10**5,
-                       beta_param: float = 2.0, eta: float = 2.0) -> tuple[float, float]:
+def fit_rate_constants(family: str, side: Side, grid: list,
+                       n_mc: int = 10**5) -> tuple[float, float]:
     """Largest c and smallest C with c exp(-C rate) <= exact tail on the grid.
 
     The sweep anchors c at the shallowest rate point and pushes C up until
@@ -670,7 +673,7 @@ def fit_rate_constants(family: str, side: Side, grid: list, n_mc: int = 10**5,
     for spec, x in grid:
         if family_name(spec) != family:
             raise DomainError(f"grid mixes families: expected {family}, got {family_name(spec)}")
-        rate, _, _ = rate_info(spec, side, x, beta_param=beta_param, eta=eta)
+        rate, _, _ = rate_info(spec, side, x)
         est = oracle.exact_tail(spec, side, x, mc_n=n_mc)
         if est.value <= 0.0:
             raise WindowError(f"exact tail vanishes at ({spec}, {x}); outside usable window")

@@ -368,13 +368,17 @@ def sample(spec: DistSpec, rng_stream: RngStream, n: int) -> np.ndarray:
     return draw(spec, rng_stream.generator(), n) - mean_shift(spec)
 
 
+def _blocks(n: int, size: int) -> list[int]:
+    """Sizes of the consecutive blocks of at most ``size`` that make up n items."""
+    full, rest = divmod(n, size)
+    return [size] * full + ([rest] if rest else [])
+
+
 def _row_sums(n: int, k: int, rows_of) -> np.ndarray:
-    """n sums of k summands, drawn ``rows_of(m)`` in chunks of bounded size."""
+    """n sums of k summands, drawn ``rows_of(m)`` in blocks of bounded size."""
     out = np.empty(n, dtype=float)
-    rows = max(1, _CHUNK_ELEMS // k)
     pos = 0
-    while pos < n:
-        m = min(rows, n - pos)
+    for m in _blocks(n, max(1, _CHUNK_ELEMS // k)):
         out[pos:pos + m] = rows_of(m)
         pos += m
     return out

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .dist_model import DistSpec, RngStream, WeightVector, sample
+from .dist_model import DistSpec, RngStream, WeightVector, _blocks, sample
 from .engine_upper import MgfSandwich
 from .errors import DomainError
 
@@ -57,8 +57,8 @@ def extreme_bracket(spec: ExtremeSpec, regime: ExtremeRegime,
     zero, so that boundary keeps the operation total.
     """
     c, C = constants
-    if c <= 0.0 or C < c:
-        raise DomainError(f"need 0 < c <= C, got ({c}, {C})")
+    if not 0.0 < c <= C < math.inf:
+        raise DomainError(f"need 0 < c <= C < inf, got ({c}, {C})")
     regime = ExtremeRegime(regime)
     if spec.k == 1:
         return ExtremeBracket(0.0, 0.0, 0.0, c, C)
@@ -76,9 +76,9 @@ _TARGET_DRAWS_PER_SHARD = 1 << 21
 def mc_extreme_mean(spec: ExtremeSpec, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo (mean, standard error) of max_i X_i over `reps` replications.
 
-    Replications are split into fixed-size shards keyed by (seed, shard), and
-    shard statistics are merged in shard order, so the estimate is independent
-    of any parallel execution of shards.
+    Replications come in blocks of about ``_TARGET_DRAWS_PER_SHARD`` draws,
+    which bounds memory; block i draws from stream (seed, i), so the block
+    size fixes the draws.
     """
     if reps < 100:
         raise DomainError(f"mc_extreme_mean needs reps >= 100, got {reps}")
@@ -88,17 +88,12 @@ def mc_extreme_mean(spec: ExtremeSpec, reps: int, seed: int) -> tuple[float, flo
     u = spec.u.as_array()
     sums = []
     sq_sums = []
-    pos = 0
-    shard = 0
-    while pos < reps:
-        m = min(block, reps - pos)
+    for shard, m in enumerate(_blocks(reps, block)):
         draws = sample(spec.base, RngStream(seed, shard), m * per_rep).reshape(m, k, n)
         x = draws @ u
         mx = x.max(axis=1)
         sums.append(float(mx.sum()))
         sq_sums.append(float((mx * mx).sum()))
-        pos += m
-        shard += 1
     s1 = math.fsum(sums)
     s2 = math.fsum(sq_sums)
     mean = s1 / reps

@@ -1,8 +1,8 @@
 """Sweep runner that certifies lower <= exact <= upper across families.
 
-A run is deterministic given its seed: Monte Carlo oracles draw from streams
-keyed by (seed, family index, side), rows are indexed up front, and results
-are merged in row order no matter how many workers executed them.
+A run is deterministic given its seed: a Monte Carlo family's rows read one
+sample per side, drawn from the stream keyed by (seed, family index, side),
+and rows come out in (family, side, x, tier) order.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -196,33 +195,12 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
     return _bisect(lambda x: tail(x) > q, 0.0, hi, 90), None
 
 
-def _row_tasks(families, x_policy, tiers, seed, mc_n):
-    """Materialize all row inputs up front (deterministic ordering and streams)."""
-    tasks = []
-    caches: dict[tuple[int, str], np.ndarray] = {}
-    for fi, spec in enumerate(families):
-        for si, side in enumerate((Side.UPPER, Side.LOWER)):
-            draws = None
-            if _is_mc_family(spec):
-                draws = _side_draws(spec, side, seed, mc_n, stream=4 * fi + si)
-                caches[(fi, side.value)] = draws
-            if isinstance(x_policy, QuantileGrid):
-                xs = []
-                for q in x_policy.q:
-                    x, flag = _bisect_quantile_flagged(spec, side, q, mc_draws=draws)
-                    xs.append((x, flag))
-            else:
-                xs = [(float(x), None) for x in x_policy.x]
-            for x, flag in xs:
-                for tier in tiers:
-                    tasks.append((fi, spec, side, x, tier, flag))
-    return tasks, caches
+_PASS_TOL = 1e-10  # absolute slack of the pass check on each side
 
 
-def _compute_row(task, caches, tol, fault_lower_scale) -> CertRow:
-    fi, spec, side, x, tier, flag = task
-    if _is_mc_family(spec):
-        exact = _mc_tail_from_draws(caches[(fi, side.value)], x)
+def _compute_row(spec, side, x, tier, flag, draws, fault_lower_scale) -> CertRow:
+    if draws is not None:
+        exact = _mc_tail_from_draws(draws, x)
     else:
         exact = exact_tail(spec, side, x)
     upper = upper_bound(spec, side, x)
@@ -234,7 +212,7 @@ def _compute_row(task, caches, tol, fault_lower_scale) -> CertRow:
         skip = f"window: {exc}" if skip is None else f"{skip}; window: {exc}"
     exact_lo, exact_hi = exact.ci()
     lower_val = 0.0 if lower is None else lower.value * fault_lower_scale
-    passed = (lower_val <= exact_hi + tol) and (upper.value >= exact_lo - tol)
+    passed = (lower_val <= exact_hi + _PASS_TOL) and (upper.value >= exact_lo - _PASS_TOL)
     return CertRow(
         spec=spec, side=side, x=x, exact=exact, upper=upper, lower=lower,
         passed=passed,
@@ -249,9 +227,7 @@ def run_grid(
     x_policy: XPolicy | None = None,
     tiers: tuple[BoundTier, ...] = (NUMERIC,),
     seed: int = 42,
-    threads: int = 1,
     mc_n: int = 10**6,
-    tol: float = 1e-10,
     fault_lower_scale: float = 1.0,
 ) -> CertReport:
     """Certify every (family, side, x, tier) cell and report pass/fail rows.
@@ -265,13 +241,20 @@ def run_grid(
     families = tuple(families)
     if not families:
         raise DomainError("run_grid needs at least one family")
-    tasks, caches = _row_tasks(families, x_policy, tiers, seed, mc_n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda t: _compute_row(t, caches, tol, fault_lower_scale), tasks))
-    else:
-        rows = [_compute_row(t, caches, tol, fault_lower_scale) for t in tasks]
+    rows = []
+    for fi, spec in enumerate(families):
+        for si, side in enumerate((Side.UPPER, Side.LOWER)):
+            draws = None
+            if _is_mc_family(spec):
+                draws = _side_draws(spec, side, seed, mc_n, stream=4 * fi + si)
+            if isinstance(x_policy, QuantileGrid):
+                xs = [_bisect_quantile_flagged(spec, side, q, mc_draws=draws)
+                      for q in x_policy.q]
+            else:
+                xs = [(float(x), None) for x in x_policy.x]
+            for x, flag in xs:
+                rows.extend(_compute_row(spec, side, x, tier, flag, draws, fault_lower_scale)
+                            for tier in tiers)
     n_pass = sum(1 for r in rows if r.passed)
     summary = {
         "n_pass": n_pass,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_bounds import bennett_rate
-from .dist_model import RngStream
+from .dist_model import RngStream, _blocks
 from .errors import DomainError, TruncationError
 from .oracle import MonteCarloError, TailEstimate, clopper_pearson, poisson_cdf_int, poisson_sf_int
 
@@ -154,22 +154,21 @@ _MISID_SHARD = 1 << 16
 
 
 def mc_misid(spec: MixtureSpec, k: int, seed: int, confidence: float = 0.99) -> TailEstimate:
-    """Simulated Hamming misidentification rate with a Clopper-Pearson interval."""
+    """Simulated Hamming misidentification rate with a Clopper-Pearson interval.
+
+    Labels come in blocks of at most ``_MISID_SHARD``, which bounds memory;
+    block i draws from stream (seed, i), so the block size fixes the draws.
+    """
     if k < 100:
         raise DomainError(f"mc_misid needs k >= 100, got {k}")
     theta = derive_classifier(spec).theta_tilde
     mismatches = 0
-    pos = 0
-    shard = 0
-    while pos < k:
-        m = min(_MISID_SHARD, k - pos)
+    for shard, m in enumerate(_blocks(k, _MISID_SHARD)):
         rng = RngStream(seed, shard).generator()
         z = rng.random(m) < spec.eps
         y = rng.poisson(np.where(z, spec.lam, spec.mu))
         z_hat = y > theta
         mismatches += int((z_hat != z).sum())
-        pos += m
-        shard += 1
     rate = mismatches / k
     lo, hi = clopper_pearson(mismatches, k, confidence)
     log_value = math.log(rate) if mismatches > 0 else -math.inf

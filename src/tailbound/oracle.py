@@ -16,7 +16,7 @@ from . import specfun
 from .dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq,
     Normal, Poisson, RademacherSum, RngStream, Side, WeightedChiSq,
-    sample,
+    _blocks, sample,
 )
 from .errors import DomainError, UnsupportedFamilyError
 
@@ -356,9 +356,8 @@ def mc_tail(
 ) -> TailEstimate:
     """Empirical tail frequency with an exact Clopper-Pearson interval.
 
-    Work is split into fixed-size shards, one Philox stream per shard, and
-    merged in shard order, so the result does not depend on how many workers
-    executed the shards.
+    Draws come in blocks of at most ``_MC_SHARD``, which bounds memory; block
+    i draws from stream (seed, i), so the block size fixes the draws.
     """
     if n < 100:
         raise DomainError(f"mc_tail needs n >= 100, got {n}")
@@ -366,17 +365,12 @@ def mc_tail(
         raise DomainError(f"tail threshold must be >= 0, got {x}")
     side = Side(side)
     count = 0
-    pos = 0
-    shard = 0
-    while pos < n:
-        m = min(_MC_SHARD, n - pos)
+    for shard, m in enumerate(_blocks(n, _MC_SHARD)):
         draws = sample(spec, RngStream(seed, shard), m)
         if side is Side.UPPER:
             count += int((draws >= x).sum())
         else:
             count += int((draws <= -x).sum())
-        pos += m
-        shard += 1
     value = count / n
     lo, hi = clopper_pearson(count, n, confidence)
     log_value = math.log(value) if count > 0 else -math.inf

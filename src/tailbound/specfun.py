@@ -147,12 +147,16 @@ def inc_gamma(a: float, y: float) -> tuple[float, float, float, float]:
     _check_gamma_args(a, y)
     if y == 0.0:
         return 0.0, -math.inf, 1.0, 0.0
-    if y < a + 1.0:
-        log_front, total = _lower_series(a, y)
-        p = math.exp(log_front) * total
-        return p, log_front + math.log(total), 1.0 - p, _log1m(p)
-    log_front, h = _upper_cf(a, y)
-    q = math.exp(log_front) * h
+    try:
+        if y < a + 1.0:
+            log_front, total = _lower_series(a, y)
+            p = math.exp(log_front) * total
+            return p, log_front + math.log(total), 1.0 - p, _log1m(p)
+        log_front, h = _upper_cf(a, y)
+        q = math.exp(log_front) * h
+    except OverflowError:  # the front cancelled catastrophically at a huge shape
+        raise TruncationError(f"incomplete gamma prefactor overflows at a={a}, y={y}; "
+                              "the shape is too large to evaluate") from None
     return 1.0 - q, _log1m(q), q, log_front + math.log(h)
 
 
@@ -246,7 +250,12 @@ def inc_beta(a: float, b: float, x: float) -> tuple[float, float]:
         return 1.0 - comp, _log1m(comp)
     log_front = _log_beta_front(a, b, x)
     cf = _betacf(a, b, x)
-    return math.exp(log_front) * cf / a, log_front + math.log(cf / a)
+    try:
+        front = math.exp(log_front)
+    except OverflowError:  # the front cancelled catastrophically at a huge shape
+        raise TruncationError(f"incomplete beta prefactor overflows at a={a}, b={b}, x={x}; "
+                              "the shapes are too large to evaluate") from None
+    return front * cf / a, log_front + math.log(cf / a)
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:

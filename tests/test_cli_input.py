@@ -78,3 +78,38 @@ def test_non_converging_gamma_shape_exits_3(capsys):
                         "--side", "upper", "--x", "1")
     assert code == 3
     assert "converge" in err
+
+
+def test_overflowing_beta_prefactor_exits_3(capsys):
+    code, err = run_cli(capsys, "quantile", "--dist",
+                        '{"family":"beta","params":{"alpha":3037.0158219566874,'
+                        '"beta":3.5230349934220878e+19}}', "--side", "lower", "--q", "0.3")
+    assert code == 3
+    assert "incomplete beta" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--rate-c", "-1"), ("--rate-c", "0"), ("--rate-c", "nan"), ("--rate-c", "inf"),
+    ("--rate-C", "0"), ("--rate-C", "inf"),
+], ids=["negative-c", "zero-c", "nan-c", "inf-c", "zero-C", "inf-C"])
+def test_bad_rate_constant_exits_3(capsys, flags):
+    code, err = run_cli(capsys, "bound", "--dist", '{"family":"gamma","params":{"alpha":2}}',
+                        "--side", "upper", "--x", "1", "--tier", "rate", *flags)
+    assert code == 3
+    assert "rate constants" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--c", "nan"), ("--c", "0"), ("--C", "inf"), ("--C", "nan"), ("--c", "2", "--C", "1"),
+], ids=["nan-c", "zero-c", "inf-C", "nan-C", "c-above-C"])
+def test_bad_extreme_constant_exits_3(capsys, flags):
+    code, err = run_cli(capsys, "extreme", "--base", '{"family":"normal","params":{"sigma2":1}}',
+                        "--k", "4", "--reps", "100", *flags)
+    assert code == 3
+    assert "0 < c <= C < inf" in err
+
+
+def test_verify_has_no_threads_flag(capsys):
+    code, err = run_cli(capsys, "verify", "--threads", "8")
+    assert code == 2
+    assert "--threads" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tailbound import specfun as sf
-from tailbound.errors import DomainError
+from tailbound.errors import DomainError, TruncationError
 
 
 def simpson(f, a, b, n=20001):
@@ -325,3 +325,17 @@ def test_golden_min_finds_minimum():
     t, f = sf._golden_min(lambda t: (t - 1.5) ** 2 + 2.0, 0.0, 4.0)
     assert abs(t - 1.5) < 1e-6
     assert abs(f - 2.0) < 1e-12
+
+
+# huge shapes ------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, args", [
+    (sf.log_reg_inc_gamma_upper, (6.483067022107549e+137, 6.4830670221075494e+137)),
+    (sf.reg_inc_gamma_upper, (6.483067022107549e+137, 6.4830670221075494e+137)),
+    (sf.log_reg_inc_beta, (3037.0158219566874, 3.5230349934220878e+19, 8.620453182063604e-17)),
+    (sf.reg_inc_beta, (3037.0158219566874, 3.5230349934220878e+19, 8.620453182063604e-17)),
+], ids=["log-gamma-upper", "gamma-upper", "log-beta", "beta"])
+def test_overflowing_prefactor_raises_truncation_error(f, args):
+    # the log prefactor cancels catastrophically at these shapes and overflows exp
+    with pytest.raises(TruncationError, match="prefactor overflows"):
+        f(*args)
