@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .dist_bounds import NUMERIC, BoundTier, Tier, lower_bound, mgf_sandwich, upper_bound
-from .dist_model import Side, WeightVector, mean_shift, spec_from_json
+from .dist_model import Side, WeightVector, family_name, mean_shift, spec_from_json
 from .errors import TailboundError, DomainError
 from .extremes import ExtremeRegime, ExtremeSpec, extreme_bracket, mc_extreme_mean
 from .harness import DEFAULT_FAMILIES, DEFAULT_QUANTILES, QuantileGrid, bisect_quantile, run_grid
@@ -63,14 +63,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, casts: dict) -> None:
-    """Fill unset (None) attributes from --config; flags always win."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    for key, cast in casts.items():
-        if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, _parsed(f"config value {key}", cfg[key], cast))
+def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
+    """Make each config key the default of the command's flag of the same name
+    that takes a value, converted by that flag's type.  Keys naming no such flag
+    are ignored, so one file can serve every command."""
+    cfg = _load_config(path)
+    for action in command._actions:
+        key = action.dest
+        if key in cfg and action.option_strings and action.nargs != 0:
+            value = _parsed(f"config value {key}", cfg[key], action.type or str)
+            if action.choices is not None and value not in action.choices:
+                raise _CliUsage(f"config value {key} must be one of {list(action.choices)}")
+            command.set_defaults(**{key: value})
 
 
 def _parse_dist(text: str):
@@ -92,7 +96,6 @@ def _emit(payload: dict, out_path: str | None, pretty: bool) -> None:
 
 
 def cmd_bound(args) -> int:
-    _merge_config(args, {"seed": int, "mc_reps": int})
     spec = _parse_dist(args.dist)
     side = Side(args.side)
     if args.x is not None and args.raw_x is not None:
@@ -107,8 +110,6 @@ def cmd_bound(args) -> int:
                 f"raw threshold {args.raw_x} lies on the wrong side of the mean {shift}")
     else:
         raise _CliUsage("one of --x or --raw-x is required")
-    seed = args.seed if args.seed is not None else _default_seed()
-    mc_reps = args.mc_reps if args.mc_reps is not None else 10**6
     rate = args.tier == "rate"
     tier = BoundTier(Tier.RATE, c_default=args.rate_c, C_default=args.rate_C) if rate else NUMERIC
     payload = {
@@ -119,21 +120,16 @@ def cmd_bound(args) -> int:
         "lower": lower_bound(spec, side, x, tier=tier).to_json(),
     }
     if not args.no_exact:
-        payload["exact"] = exact_tail(spec, side, x, mc_n=mc_reps, mc_seed=seed).to_json()
+        payload["exact"] = exact_tail(spec, side, x, mc_n=args.mc_reps, mc_seed=args.seed).to_json()
     _emit(payload, args.out, pretty=not args.json)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _merge_config(args, {"seed": int, "mc_reps": int,
-                         "out": str, "families": str, "quantiles": str})
-    seed = args.seed if args.seed is not None else _default_seed()
-    mc_reps = args.mc_reps if args.mc_reps is not None else 10**6
     if args.families is None or args.families == "all":
         families = DEFAULT_FAMILIES
     else:
         wanted = [f.strip() for f in args.families.split(",") if f.strip()]
-        from .dist_model import family_name
         table = {family_name(s): s for s in DEFAULT_FAMILIES}
         missing = [w for w in wanted if w not in table]
         if missing:
@@ -149,8 +145,8 @@ def cmd_verify(args) -> int:
     report = run_grid(
         families=families,
         x_policy=QuantileGrid(quantiles),
-        seed=seed,
-        mc_n=mc_reps,
+        seed=args.seed,
+        mc_n=args.mc_reps,
         fault_lower_scale=fault,
     )
     _emit(report.to_json(), args.out, pretty=False)
@@ -158,35 +154,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_quantile(args) -> int:
-    _merge_config(args, {"seed": int})
     spec = _parse_dist(args.dist)
     side = Side(args.side)
     if not (0.0 < args.q < 1.0):
         raise _CliUsage(f"--q must lie in (0, 1), got {args.q}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    x = bisect_quantile(spec, side, args.q, seed=seed)
+    x = bisect_quantile(spec, side, args.q, seed=args.seed)
     _emit({"spec": json.loads(args.dist), "side": side.value, "q": args.q, "x": x},
           args.out, pretty=not args.json)
     return EXIT_OK
 
 
 def cmd_extreme(args) -> int:
-    _merge_config(args, {"seed": int, "reps": int})
     base = _parse_dist(args.base)
     weights = WeightVector(_parsed("--weights", args.weights, _floats))
-    seed = args.seed if args.seed is not None else _default_seed()
-    reps = args.reps if args.reps is not None else 10**5
     spec = ExtremeSpec(base=base, u=weights, k=args.k, sandwich=mgf_sandwich(base))
     regime = ExtremeRegime.SUB_EXPONENTIAL if args.regime == "subexponential" \
         else ExtremeRegime.SUB_GAUSSIAN
     bracket = extreme_bracket(spec, regime, constants=(args.c, args.C))
-    mean, se = mc_extreme_mean(spec, reps, seed)
+    mean, se = mc_extreme_mean(spec, args.reps, args.seed)
     payload = {
         "base": json.loads(args.base),
         "k": args.k,
         "regime": regime.value,
         "bracket": bracket.to_json(),
-        "mc": {"mean": mean, "se": se, "reps": reps, "seed": seed},
+        "mc": {"mean": mean, "se": se, "reps": args.reps, "seed": args.seed},
     }
     _emit(payload, args.out, pretty=not args.json)
     return EXIT_OK
@@ -214,12 +205,10 @@ def _read_counts(path: str) -> list[int]:
 
 
 def cmd_classify(args) -> int:
-    _merge_config(args, {"seed": int, "out": str})
     if not (0.0 < args.eps < 1.0):
         raise _CliUsage(f"--eps must lie strictly in (0, 1), got {args.eps}")
     if args.input is None and args.simulate is None:
         raise _CliUsage("one of --input or --simulate is required")
-    seed = args.seed if args.seed is not None else _default_seed()
     spec = MixtureSpec(mu=args.mu, lam=getattr(args, "lambda"), eps=args.eps)
     report = derive_classifier(spec)
     payload = report.to_json()
@@ -233,8 +222,8 @@ def cmd_classify(args) -> int:
     if args.simulate is not None:
         if args.simulate < 100:
             raise _CliUsage(f"--simulate must be >= 100, got {args.simulate}")
-        payload["mc_misid"] = mc_misid(spec, args.simulate, seed).to_json()
-        payload["seed"] = seed
+        payload["mc_misid"] = mc_misid(spec, args.simulate, args.seed).to_json()
+        payload["seed"] = args.seed
     _emit(payload, args.out, pretty=not args.json)
     if flags is not None:
         flags_path = args.flags_out
@@ -275,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=["certified", "rate"], default="certified")
     p.add_argument("--rate-c", type=float, default=1.0)
     p.add_argument("--rate-C", type=float, default=1.0)
-    p.add_argument("--mc-reps", type=int, default=None)
+    p.add_argument("--mc-reps", type=int, default=10**6)
     p.add_argument("--no-exact", action="store_true")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", parents=[common], help="certification sweep")
     p.add_argument("--families", type=str, default=None, help="all or comma list")
     p.add_argument("--quantiles", type=str, default=None, help="comma list of tail depths")
-    p.add_argument("--mc-reps", type=int, default=None)
+    p.add_argument("--mc-reps", type=int, default=10**6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("quantile", parents=[common], help="map tail depth to threshold")
@@ -298,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["subgaussian", "subexponential"], default="subgaussian")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--reps", type=int, default=10**5)
     p.set_defaults(func=cmd_extreme)
 
     p = sub.add_parser("classify", parents=[common], help="Poisson-mixture signal labels")
@@ -320,6 +309,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if args.config:  # flags beat the config file: its values become defaults
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            _apply_config(sub.choices[args.command], args.config)
+            args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except _CliUsage as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,7 @@ from .dist_model import (
     family_name, log_mgf, mean_shift, variance,
 )
 from .engine_lower import pz_lower, reverse_chernoff_lower
-from .engine_upper import BoundResult, MgfSandwich, result_from_log
+from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
 from .errors import DomainError, UnsupportedFamilyError, WindowError
 
 
@@ -290,8 +290,7 @@ def binomial_eq8_value(k: int, p: float, x: float, delta: float) -> float:
 
 
 def _binomial_infeasible() -> BoundResult:
-    return BoundResult(0.0, -math.inf, "reverse_chernoff", False,
-                       "binomial_reverse_chernoff", {"feasible": False})
+    return _no_certificate("reverse_chernoff", "binomial_reverse_chernoff", {"feasible": False})
 
 
 def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
@@ -311,10 +310,7 @@ def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
     with np.errstate(over="ignore"):
         bracket = 1.0 - np.exp(b1) - np.exp(b2)
     ok = bracket > 0.0
-    if not ok.any():
-        return _binomial_infeasible()
     log_vals = np.where(ok, lead + np.log(np.where(ok, bracket, 1.0)), -np.inf)
-    i = int(np.argmax(log_vals))
 
     def log_val(d: float) -> float:
         try:
@@ -323,10 +319,9 @@ def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
             return -math.inf
         return math.log(v) if v > 0.0 else -math.inf
 
-    best_d = specfun._golden_argmax(log_val, float(deltas[max(0, i - 1)]),
-                                    float(deltas[min(len(deltas) - 1, i + 1)]), 60)
-    best_log = max(float(log_vals[i]), log_val(best_d))
-    d_used = best_d if log_val(best_d) >= float(log_vals[i]) else float(deltas[i])
+    d_used, best_log = specfun._grid_argmax(log_val, deltas, log_vals, 60)
+    if d_used is None:
+        return _binomial_infeasible()
     return result_from_log(best_log, "reverse_chernoff", True, "binomial_reverse_chernoff",
                            {"delta": d_used, "delta_prime": 0.5 * (1.0 + d_used)})
 
@@ -338,16 +333,12 @@ def _binomial_probed_lower(k: int, p: float, x: float) -> BoundResult:
     also lower-bounds P(X >= x); probing a fixed geometric grid of deeper
     thresholds rescues shallow x, where the construction itself is infeasible.
     """
-    edge = k * (1.0 - p)
-    if x >= edge:
-        return _binomial_infeasible()
-    probes = [x] + [float(v) for v in edge * np.geomspace(1e-3, 0.9, 24) if v > x]
+    probes = [x] + [float(v) for v in k * (1.0 - p) * np.geomspace(1e-3, 0.9, 24) if v > x]
     best = None
     for x_probe in probes:
         cand = _binomial_eq8_lower(k, p, x_probe)
         if cand.certified and (best is None or cand.log_value > best.log_value):
-            best = BoundResult(cand.value, cand.log_value, cand.method, True,
-                               cand.cite, dict(cand.params_used, threshold_used=x_probe))
+            best = replace(cand, params_used=dict(cand.params_used, threshold_used=x_probe))
     if best is None:
         return _binomial_infeasible()
     return best
@@ -358,42 +349,26 @@ def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
     _require_beta_bound_params(spec)
     a, b = (spec.alpha, spec.beta) if side is Side.UPPER else (spec.beta, spec.alpha)
     y0 = (a + b) * x
-    if y0 >= b:
-        return BoundResult(0.0, -math.inf, "beta_gamma_split", False,
-                           "beta_gamma_split", {"feasible": False})
     best = (-math.inf, y0)
-    for y in np.linspace(y0, y0 + (b - y0) * 0.999, 80):
-        l1 = specfun.log_reg_inc_gamma_upper(a, a + y)
-        l2 = specfun.log_reg_inc_gamma_lower(b, b - y) if y < b else -math.inf
-        lv = l1 + l2
+    # the grid ends at y0 + 0.999 (b - y0), so b - y >= 0 at every point
+    for y in np.linspace(y0, y0 + (b - y0) * 0.999, 80) if y0 < b else ():
+        lv = specfun.log_reg_inc_gamma_upper(a, a + y) + specfun.log_reg_inc_gamma_lower(b, b - y)
         if lv > best[0]:
             best = (lv, float(y))
     if best[0] == -math.inf:
-        return BoundResult(0.0, -math.inf, "beta_gamma_split", False,
-                           "beta_gamma_split", {"feasible": False})
+        return _no_certificate("beta_gamma_split", "beta_gamma_split", {"feasible": False})
     return result_from_log(best[0], "beta_gamma_split", True, "beta_gamma_split",
                            {"y": best[1]})
 
 
 def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
-    """Best certificate of the reverse Chernoff and Paley-Zygmund engines."""
-    candidates = []
-    scale = math.sqrt(variance(spec))
-    x_eff = max(x, 1e-9 * max(1.0, scale))
-    try:
-        candidates.append(reverse_chernoff_lower(log_mgf(spec), x_eff, side))
-    except (UnsupportedFamilyError, DomainError):
-        pass
-    try:
-        candidates.append(pz_lower(mgf_sandwich(spec, side), x))
-    except (UnsupportedFamilyError, DomainError):
-        pass
-    certified = [c for c in candidates if c.certified]
-    if certified:
-        return max(certified, key=lambda r: r.log_value)
-    if candidates:
-        return candidates[0]
-    raise UnsupportedFamilyError(f"no numeric lower bound route for {spec!r}")
+    """Best certificate of the reverse Chernoff and Paley-Zygmund engines, else the
+    reverse Chernoff result; every family served here has a log-MGF and a sandwich."""
+    x_eff = max(x, 1e-9 * max(1.0, math.sqrt(variance(spec))))
+    rc = reverse_chernoff_lower(log_mgf(spec), x_eff, side)
+    pz = pz_lower(mgf_sandwich(spec, side), x)
+    certified = [r for r in (rc, pz) if r.certified]
+    return max(certified, key=lambda r: r.log_value) if certified else rc
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +633,13 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
 # ---------------------------------------------------------------------------
 
 
-def fit_rate_constants(family: str, side: Side, grid: list,
-                       n_mc: int = 10**5) -> tuple[float, float]:
+def fit_rate_constants(family: str, side: Side, grid: list) -> tuple[float, float]:
     """Largest c and smallest C with c exp(-C rate) <= exact tail on the grid.
 
     The sweep anchors c at the shallowest rate point and pushes C up until
     every deeper point sits above the curve, so the fit is sound on the grid
-    by construction.  Fitted constants are empirical conveniences only.
+    by construction.  Monte Carlo families use 10**5 draws per point.  Fitted
+    constants are empirical conveniences only.
     """
     if not grid:
         raise DomainError("fit_rate_constants needs a nonempty grid")
@@ -674,7 +649,7 @@ def fit_rate_constants(family: str, side: Side, grid: list,
         if family_name(spec) != family:
             raise DomainError(f"grid mixes families: expected {family}, got {family_name(spec)}")
         rate, _, _ = rate_info(spec, side, x)
-        est = oracle.exact_tail(spec, side, x, mc_n=n_mc)
+        est = oracle.exact_tail(spec, side, x, mc_n=10**5)
         if est.value <= 0.0:
             raise WindowError(f"exact tail vanishes at ({spec}, {x}); outside usable window")
         pts.append((rate, est.log_value if est.log_value > -math.inf else math.log(est.value)))

@@ -51,10 +51,12 @@ def _check(spec, name: str, what: str, ok: Callable[[float], bool] = lambda v: v
     object.__setattr__(spec, name, v)
 
 
-def _check_count(spec, what: str) -> None:
+def _check_count(spec, what: str, limit: float = math.inf) -> None:
     k = spec.k
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise DomainError(f"{what} must be an integer >= 1, got {k!r}")
+    if k > limit:
+        raise DomainError(f"{what} must be at most {limit}, got {k}")
     object.__setattr__(spec, "k", int(k))
 
 
@@ -78,8 +80,11 @@ class WeightVector:
         linf = max(u)
         if linf <= 0.0:
             raise DomainError("weights must not all be zero")
+        l2_sq = math.fsum(v * v for v in u)
+        if l2_sq == 0.0:
+            raise DomainError(f"weights too small: their squared norm underflows, got {u!r}")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "l2_sq", math.fsum(v * v for v in u))
+        object.__setattr__(self, "l2_sq", l2_sq)
         object.__setattr__(self, "linf", linf)
 
     def __len__(self):
@@ -140,7 +145,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        _check_count(self, "binomial count")
+        _check_count(self, "binomial count", _MAX_COUNT)
         _check(self, "p", "binomial success probability", lambda v: 0.0 < v < 1.0,
                "in (0, 1)")
 
@@ -158,7 +163,7 @@ class IrwinHall:
     k: int
 
     def __post_init__(self):
-        _check_count(self, "irwin-hall count")
+        _check_count(self, "irwin-hall count", _MAX_COUNT)
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ class RademacherSum:
     k: int
 
     def __post_init__(self):
-        _check_count(self, "rademacher count")
+        _check_count(self, "rademacher count", _MAX_COUNT)
 
 
 @dataclass(frozen=True)
@@ -351,6 +356,9 @@ class RngStream:
 
 
 _CHUNK_ELEMS = 1 << 22
+# Largest binomial, Rademacher and Irwin-Hall count: a k-wide row of _row_sums fits one
+# block, and binom_upper_tail loops once per count, so the cap bounds its run time.
+_MAX_COUNT = _CHUNK_ELEMS
 
 
 def sample(spec: DistSpec, rng_stream: RngStream, n: int) -> np.ndarray:

@@ -15,9 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .dist_model import LogMgfSpec, Side
-from .engine_upper import BoundResult, MgfSandwich, _mirrored, chernoff_upper, result_from_log
+from .engine_upper import (
+    BoundResult, MgfSandwich, _mirrored, _no_certificate, chernoff_upper, result_from_log,
+)
 from .errors import DomainError
-from .specfun import _golden_argmax
+from .specfun import _grid_argmax
 
 
 @dataclass(frozen=True)
@@ -81,45 +83,21 @@ def pz_lower(s: MgfSandwich, x: float, lam: float | None = None) -> BoundResult:
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"threshold must be >= 0, got {x}")
 
-    def candidate(lam_val: float):
-        t = _pz_t_root(s, x, lam_val)
-        if t > 0.5 * s.M:
-            return None
-        return _pz_log_value(s, t, lam_val), t
-
-    if lam is not None:
-        got = candidate(lam)
-        if got is None:
-            return BoundResult(0.0, -math.inf, "pz", False, "paley_zygmund",
-                               {"feasible": False, "lam": lam})
-        lv, t = got
-        return result_from_log(lv, "pz", True, "paley_zygmund", {"t": t, "lam": lam})
-
-    lams = np.geomspace(_PZ_LAM_LO, _PZ_LAM_HI, 200)
-    best = None
-    best_i = -1
-    for i, lv_lam in enumerate(lams):
-        got = candidate(float(lv_lam))
-        if got is None:
-            continue
-        if best is None or got[0] > best[0]:
-            best = (got[0], got[1], float(lv_lam))
-            best_i = i
-    if best is None:
-        return BoundResult(0.0, -math.inf, "pz", False, "paley_zygmund", {"feasible": False})
-
     def log_value(lam_val: float) -> float:
-        got = candidate(lam_val)
-        return got[0] if got else -math.inf
+        t = _pz_t_root(s, x, lam_val)
+        return -math.inf if t > 0.5 * s.M else _pz_log_value(s, t, lam_val)
 
-    # golden refinement of lam inside the best grid cell
-    lam_ref = _golden_argmax(log_value, float(lams[max(0, best_i - 1)]),
-                             float(lams[min(len(lams) - 1, best_i + 1)]), 80)
-    got = candidate(lam_ref)
-    if got and got[0] > best[0]:
-        best = (got[0], got[1], lam_ref)
-    return result_from_log(best[0], "pz", True, "paley_zygmund",
-                           {"t": best[1], "lam": best[2]})
+    if lam is None:
+        lams = np.geomspace(_PZ_LAM_LO, _PZ_LAM_HI, 200)
+        lam, lv = _grid_argmax(log_value, lams, [log_value(float(v)) for v in lams], 80)
+        infeasible = {"feasible": False}
+    else:
+        lv = log_value(lam)
+        infeasible = {"feasible": False, "lam": lam}
+    if lv == -math.inf:
+        return _no_certificate("pz", "paley_zygmund", infeasible)
+    return result_from_log(lv, "pz", True, "paley_zygmund",
+                           {"t": _pz_t_root(s, x, lam), "lam": lam})
 
 
 def pz_paper_constants(s: MgfSandwich, c_small_sq: float | None = None) -> PzConstants:
@@ -161,8 +139,7 @@ def pz_paper_bound(s: MgfSandwich, x: float, c_small_sq: float | None = None) ->
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"threshold must be >= 0, got {x}")
     if x > pc.x_max:
-        return BoundResult(0.0, -math.inf, "pz_paper", False, "paley_zygmund",
-                           {"x_max": pc.x_max, "feasible": False})
+        return _no_certificate("pz_paper", "paley_zygmund", {"x_max": pc.x_max, "feasible": False})
     lv = math.log(pc.c) - pc.C * x * x / s.alpha
     return result_from_log(lv, "pz_paper", True, "paley_zygmund",
                            {"c": pc.c, "C": pc.C, "x_max": pc.x_max})
@@ -171,12 +148,20 @@ def pz_paper_bound(s: MgfSandwich, x: float, c_small_sq: float | None = None) ->
 def evaluate_tail_lower(tail: TailLowerFn, x: float, certified: bool = True) -> BoundResult:
     """Evaluate a composed tail lower bound at one point as a BoundResult."""
     if x < tail.valid_from:
-        return BoundResult(0.0, -math.inf, "compose", False, "sum_composition",
-                           {"valid_from": tail.valid_from, "feasible": False})
+        return _no_certificate("compose", "sum_composition",
+                               {"valid_from": tail.valid_from, "feasible": False})
     v = max(0.0, float(tail.f(x)))
     lv = math.log(v) if v > 0.0 else -math.inf
     return BoundResult(min(1.0, v), min(0.0, lv), "compose", certified and v > 0.0,
                        "sum_composition", dict(tail.params))
+
+
+def _rc_exponents(logphi, x: float, t: float, tp: float, th: float, d: float):
+    """Log magnitudes (l1, l2, l3) of the three reverse Chernoff terms."""
+    l1 = float(logphi(t)) - t * d * x
+    l2 = float(logphi(t * th)) - t * th * d * x
+    l3 = -(t * d - tp) * x + float(logphi(t - tp))
+    return l1, l2, l3
 
 
 def reverse_chernoff_objective(
@@ -194,9 +179,7 @@ def reverse_chernoff_objective(
     t, tp, th, d = params.t, params.t_prime, params.theta, params.delta
     if not t * th < sup:
         raise DomainError(f"t*theta = {t * th} outside the MGF domain (sup = {sup})")
-    l1 = float(logphi(t)) - t * d * x
-    l2 = float(logphi(t * th)) - t * th * d * x
-    l3 = -(t * d - tp) * x + float(logphi(t - tp))
+    l1, l2, l3 = _rc_exponents(logphi, x, t, tp, th, d)
     m = max(l1, l2, l3)
     if m == -math.inf:
         return 0.0
@@ -244,16 +227,17 @@ def _rc_grid_best(logphi, sup: float, x: float, t_cap: float):
     return best_log, float(t[i]), float(th[j]), float(d[k]), float(f[m])
 
 
-def _nelder_mead(fun, x0: np.ndarray, step: float = 0.2, iters: int = 200) -> np.ndarray:
-    """Minimal Nelder-Mead; fun may return +inf for infeasible points."""
+def _nelder_mead(fun, x0: np.ndarray) -> np.ndarray:
+    """Minimal Nelder-Mead: initial step 0.2, 200 iterations; fun may return
+    +inf for infeasible points."""
     n = len(x0)
     simplex = [np.array(x0, dtype=float)]
     for i in range(n):
         p = np.array(x0, dtype=float)
-        p[i] += step
+        p[i] += 0.2
         simplex.append(p)
     vals = [fun(p) for p in simplex]
-    for _ in range(iters):
+    for _ in range(200):
         order = np.argsort(vals)
         simplex = [simplex[i] for i in order]
         vals = [vals[i] for i in order]
@@ -318,21 +302,19 @@ def reverse_chernoff_lower(
         except DomainError:
             pass
     if not candidates:
-        return BoundResult(0.0, -math.inf, "reverse_chernoff", False, "reverse_chernoff",
-                           {"feasible": False, "side": side.value})
+        return _no_certificate("reverse_chernoff", "reverse_chernoff",
+                               {"feasible": False, "side": side.value})
 
     best_log, t0, th0, d0, f0 = max(candidates, key=lambda c: c[0])
 
+    def point(z: np.ndarray) -> tuple[float, float, float]:
+        return math.exp(z[0]), 1.0 + math.exp(z[1]), 1.0 + math.exp(z[2])
+
     def neg_obj(z: np.ndarray) -> float:
-        t = math.exp(z[0])
-        th = 1.0 + math.exp(z[1])
-        d = 1.0 + math.exp(z[2])
+        t, th, d = point(z)
         if not (0.0 < t and t * th < sup):
             return math.inf
-        tp = f0 * t
-        l1 = float(logphi(t)) - t * d * x
-        l2 = float(logphi(t * th)) - t * th * d * x
-        l3 = -(t * d - tp) * x + float(logphi(t - tp))
+        l1, l2, l3 = _rc_exponents(logphi, x, t, f0 * t, th, d)
         if l2 >= l1 or l3 >= l1:
             return math.inf
         bracket = -math.expm1(l2 - l1) - math.exp(l3 - l1)
@@ -345,9 +327,7 @@ def reverse_chernoff_lower(
     refined = -neg_obj(z_best)
     if refined > best_log:
         best_log = refined
-        t0 = math.exp(z_best[0])
-        th0 = 1.0 + math.exp(z_best[1])
-        d0 = 1.0 + math.exp(z_best[2])
+        t0, th0, d0 = point(z_best)
 
     return result_from_log(
         best_log, "reverse_chernoff", True, "reverse_chernoff",

@@ -77,6 +77,11 @@ def result_from_log(log_value: float, method: str, certified: bool, cite: str,
     )
 
 
+def _no_certificate(method: str, cite: str, params: dict) -> BoundResult:
+    """The zero, uncertified result of a search that found no feasible point."""
+    return BoundResult(0.0, -math.inf, method, False, cite, params)
+
+
 _ENDPOINT_SHRINK = 1e-9
 
 

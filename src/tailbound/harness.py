@@ -24,7 +24,7 @@ from .dist_model import (
 )
 from .engine_upper import BoundResult
 from .errors import DomainError, WindowError
-from .oracle import MonteCarloError, TailEstimate, _oracle, clopper_pearson, exact_tail
+from .oracle import TailEstimate, _mc_estimate, _oracle, exact_tail
 from .specfun import _bisect
 
 DEFAULT_QUANTILES = (0.5, 0.25, 0.1, 0.05, 0.01, 1e-3, 1e-5, 1e-8)
@@ -144,16 +144,6 @@ def _side_draws(spec: DistSpec, side: Side, seed: int, n: int, stream: int = 0) 
     return s
 
 
-def _mc_tail_from_draws(s: np.ndarray, x: float, confidence: float = 0.99) -> TailEstimate:
-    n = len(s)
-    count = int(n - np.searchsorted(s, x, side="left"))
-    lo, hi = clopper_pearson(count, n, confidence)
-    value = count / n
-    return TailEstimate(value=value,
-                        log_value=math.log(value) if count else -math.inf,
-                        error=MonteCarloError(lo, hi, n, confidence))
-
-
 def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
     if not (0.0 < q < 1.0):
         raise DomainError(f"need 0 < q < 1, got {q}")
@@ -199,8 +189,8 @@ _PASS_TOL = 1e-10  # absolute slack of the pass check on each side
 
 
 def _compute_row(spec, side, x, tier, flag, draws, fault_lower_scale) -> CertRow:
-    if draws is not None:
-        exact = _mc_tail_from_draws(draws, x)
+    if draws is not None:  # sorted, so the draws >= x are the last ones
+        exact = _mc_estimate(int(len(draws) - np.searchsorted(draws, x, side="left")), len(draws))
     else:
         exact = exact_tail(spec, side, x)
     upper = upper_bound(spec, side, x)

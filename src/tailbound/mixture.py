@@ -22,7 +22,7 @@ import numpy as np
 from .dist_bounds import bennett_rate
 from .dist_model import RngStream, _blocks
 from .errors import DomainError, TruncationError
-from .oracle import MonteCarloError, TailEstimate, clopper_pearson, poisson_cdf_int, poisson_sf_int
+from .oracle import TailEstimate, _mc_estimate, poisson_cdf_int, poisson_sf_int
 
 
 class MixtureRegime(str, enum.Enum):
@@ -129,12 +129,12 @@ def _poisson_pmf_row(lam: float, j_max: int) -> np.ndarray:
     return out
 
 
-def verify_optimality(spec: MixtureSpec, j_max: int = 80, tol: float = 1e-12) -> bool:
+def verify_optimality(spec: MixtureSpec, j_max: int = 80) -> bool:
     """Check the threshold rule against the best deterministic per-count rule.
 
     The minimum achievable risk over all rules that map each count j to a
     label is sum_j min((1-eps) pmf_mu(j), eps pmf_lam(j)); the threshold rule
-    must attain it up to tol plus the truncation mass beyond j_max.
+    must attain it up to 1e-12 plus the truncation mass beyond j_max.
     """
     mass_mu = poisson_sf_int(spec.mu, j_max + 1)[0]
     mass_lam = poisson_sf_int(spec.lam, j_max + 1)[0]
@@ -147,13 +147,13 @@ def verify_optimality(spec: MixtureSpec, j_max: int = 80, tol: float = 1e-12) ->
         min((1.0 - spec.eps) * pmf_mu[j], spec.eps * pmf_lam[j]) for j in range(j_max + 1))
     threshold_risk = exact_expected_misid(spec)
     slack = (1.0 - spec.eps) * mass_mu + spec.eps * mass_lam
-    return abs(threshold_risk - best) <= tol + slack
+    return abs(threshold_risk - best) <= 1e-12 + slack
 
 
 _MISID_SHARD = 1 << 16
 
 
-def mc_misid(spec: MixtureSpec, k: int, seed: int, confidence: float = 0.99) -> TailEstimate:
+def mc_misid(spec: MixtureSpec, k: int, seed: int) -> TailEstimate:
     """Simulated Hamming misidentification rate with a Clopper-Pearson interval.
 
     Labels come in blocks of at most ``_MISID_SHARD``, which bounds memory;
@@ -169,8 +169,4 @@ def mc_misid(spec: MixtureSpec, k: int, seed: int, confidence: float = 0.99) -> 
         y = rng.poisson(np.where(z, spec.lam, spec.mu))
         z_hat = y > theta
         mismatches += int((z_hat != z).sum())
-    rate = mismatches / k
-    lo, hi = clopper_pearson(mismatches, k, confidence)
-    log_value = math.log(rate) if mismatches > 0 else -math.inf
-    return TailEstimate(value=rate, log_value=log_value,
-                        error=MonteCarloError(lo, hi, k, confidence))
+    return _mc_estimate(mismatches, k)

@@ -343,17 +343,19 @@ def clopper_pearson(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     return lo, hi
 
 
+_MC_CONFIDENCE = 0.99
 _MC_SHARD = 1 << 17
 
 
-def mc_tail(
-    spec: DistSpec,
-    side: Side,
-    x: float,
-    n: int = 10**6,
-    seed: int = 0,
-    confidence: float = 0.99,
-) -> TailEstimate:
+def _mc_estimate(count: int, n: int) -> TailEstimate:
+    """The frequency count / n with its Clopper-Pearson interval at 99%."""
+    lo, hi = clopper_pearson(count, n, _MC_CONFIDENCE)
+    value = count / n
+    return TailEstimate(value, math.log(value) if count > 0 else -math.inf,
+                        MonteCarloError(lo, hi, n, _MC_CONFIDENCE))
+
+
+def mc_tail(spec: DistSpec, side: Side, x: float, n: int = 10**6, seed: int = 0) -> TailEstimate:
     """Empirical tail frequency with an exact Clopper-Pearson interval.
 
     Draws come in blocks of at most ``_MC_SHARD``, which bounds memory; block
@@ -371,7 +373,4 @@ def mc_tail(
             count += int((draws >= x).sum())
         else:
             count += int((draws <= -x).sum())
-    value = count / n
-    lo, hi = clopper_pearson(count, n, confidence)
-    log_value = math.log(value) if count > 0 else -math.inf
-    return TailEstimate(value, log_value, MonteCarloError(lo, hi, n, confidence))
+    return _mc_estimate(count, n)

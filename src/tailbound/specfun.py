@@ -9,14 +9,16 @@ log from one evaluation and can work below the double underflow threshold.
 The single-value functions are views of these pairs.
 
 Scalar searches: ``_golden_min`` (golden section to a tolerance),
-``_golden_argmax`` (fixed-step golden section) and ``_bisect`` (fixed-step
-bisection).
+``_golden_argmax`` (fixed-step golden section), ``_grid_argmax`` (a grid
+maximum refined by ``_golden_argmax``) and ``_bisect`` (fixed-step bisection).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, TruncationError
 
@@ -26,6 +28,11 @@ _MAX_ITER = 800
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MAX_SHAPE = 2.5e305  # ln Gamma overflows a double beyond about 2.56e305
+# ln Gamma(1 + a) = sum_{k>=1} c_k a^k with c_1 = -gamma and c_k = (-1)^k zeta(k) / k;
+# for a < 1e-2 the terms beyond a^9 fall below 1e-19 of the sum
+_LGAMMA1P_COEFFS = (-0.5772156649015329, 0.8224670334241132, -0.40068563438653143,
+                    0.27058080842778454, -0.207385551028674, 0.16955717699740822,
+                    -0.14404989676884614, 0.12550966952474304, -0.11133426586956469)
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,29 @@ def _upper_cf(a: float, y: float) -> tuple[float, float]:
     raise TruncationError(f"incomplete gamma continued fraction failed to converge (a={a}, y={y})")
 
 
+def _small_shape_upper(a: float, y: float) -> tuple[float, float]:
+    """(Q, ln Q) for a < 1e-2 and y < a + 1, without the cancellation of 1 - P.
+
+    P = e^u (1 + a S) with u = a ln y - ln Gamma(1 + a) and
+    S = sum_{k>=1} (-y)^k / (k! (a + k)), so Q = -expm1(u) - e^u a S.  ln Gamma(1 + a)
+    comes from its series, as math.lgamma(1 + a) loses a once 1 + a rounds to 1.
+    """
+    lg = 0.0
+    for c in reversed(_LGAMMA1P_COEFFS):
+        lg = a * (lg + c)
+    u = a * math.log(y) - lg
+    power = 1.0
+    total = 0.0
+    for k in range(1, _MAX_ITER):
+        power *= -y / k
+        term = power / (a + k)
+        total += term
+        if abs(term) < abs(total) * _MACHEP:
+            q = -math.expm1(u) - math.exp(u) * a * total
+            return q, math.log(q) if q > 0.0 else -math.inf
+    raise TruncationError(f"small-shape incomplete gamma series failed to converge (a={a}, y={y})")
+
+
 def reg_inc_gamma_upper_series(a: float, y: float) -> float:
     """Q(a, y) evaluated through the lower power series (1 - P)."""
     _check_gamma_args(a, y)
@@ -142,7 +172,8 @@ def inc_gamma(a: float, y: float) -> tuple[float, float, float, float]:
 
     P(a, y) = P(Gamma(a) <= y) and Q = 1 - P.  One evaluation serves all four:
     the power series for y < a + 1, the continued fraction otherwise, and the
-    other side as the complement.  The logs stay finite where P or Q underflows.
+    other side as the complement, except that Q comes from its own series when
+    a < 1e-2 and y < a + 1.  The logs stay finite where P or Q underflows.
     """
     _check_gamma_args(a, y)
     if y == 0.0:
@@ -151,6 +182,8 @@ def inc_gamma(a: float, y: float) -> tuple[float, float, float, float]:
         if y < a + 1.0:
             log_front, total = _lower_series(a, y)
             p = math.exp(log_front) * total
+            if a < 1e-2:  # Q = 1 - P would cancel
+                return (p, log_front + math.log(total), *_small_shape_upper(a, y))
             return p, log_front + math.log(total), 1.0 - p, _log1m(p)
         log_front, h = _upper_cf(a, y)
         q = math.exp(log_front) * h
@@ -374,6 +407,24 @@ def _golden_argmax(f, lo: float, hi: float, iters: int) -> float:
         else:
             a = m1
     return 0.5 * (a + b)
+
+
+def _grid_argmax(log_f, grid, logs, iters: int) -> tuple[float | None, float]:
+    """(point, log value) maximizing ``log_f``: the grid point with the first
+    largest of ``logs`` (its log values), refined by ``iters`` golden-section
+    steps between its neighbours.  The refined point wins only when strictly
+    better; (None, -inf) when every grid value is -inf."""
+    i = int(np.argmax(logs))
+    best = float(logs[i])
+    if best == -math.inf:
+        return None, -math.inf
+    last = len(grid) - 1
+    refined = _golden_argmax(log_f, float(grid[max(0, i - 1)]), float(grid[min(last, i + 1)]),
+                             iters)
+    refined_log = log_f(refined)
+    if refined_log > best:
+        return refined, refined_log
+    return float(grid[i]), best
 
 
 def _bisect(below, lo: float, hi: float, iters: int) -> float:

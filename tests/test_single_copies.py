@@ -1,0 +1,284 @@
+"""Each lower-bound search and each Monte Carlo estimate is written once.
+
+The shared helpers (``specfun._grid_argmax``, ``engine_upper._no_certificate``,
+``oracle._mc_estimate``) are checked on their own, the searches built on them
+against test-side copies of the hand-written loops they replaced, and an AST
+guard fails when a hand-written copy comes back anywhere in the package.
+"""
+
+import ast
+import math
+import pathlib
+import random
+
+import numpy as np
+import pytest
+
+import tailbound
+from tailbound import specfun as sf
+from tailbound.dist_bounds import (
+    _BOUNDS, _binomial_eq8_lower, _engine_lower, _kl_np, binomial_eq8_value, mgf_sandwich,
+)
+from tailbound.dist_model import (
+    ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum, Side,
+    WeightedChiSq, WeightVector, log_mgf,
+)
+from tailbound.engine_lower import _pz_log_value, _pz_t_root, pz_lower
+from tailbound.engine_upper import BoundResult, MgfSandwich, result_from_log
+from tailbound.errors import DomainError
+from tailbound.oracle import MonteCarloError, _mc_estimate, clopper_pearson
+
+
+# _grid_argmax -------------------------------------------------------------------
+
+def _counting(f):
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return f(t)
+    return wrapped, calls
+
+
+def test_grid_argmax_keeps_first_maximum_on_a_tie():
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0]
+    logs = [0.0, 5.0, 1.0, 5.0, 0.0]
+    f, calls = _counting(lambda t: -math.inf)
+    assert sf._grid_argmax(f, grid, logs, 10) == (1.0, 5.0)
+    assert all(0.0 <= t <= 2.0 for t in calls)  # refined between the first maximum's neighbours
+
+
+@pytest.mark.parametrize("logs,lo,hi", [
+    ([9.0, 1.0, 0.0, 0.0], 0.0, 1.0),
+    ([0.0, 0.0, 1.0, 9.0], 2.0, 3.0),
+], ids=["first", "last"])
+def test_grid_argmax_clamps_at_the_grid_ends(logs, lo, hi):
+    f, calls = _counting(lambda t: -math.inf)
+    assert sf._grid_argmax(f, [0.0, 1.0, 2.0, 3.0], logs, 20)[1] == 9.0
+    assert calls and all(lo <= t <= hi for t in calls)
+
+
+def test_grid_argmax_takes_the_refined_point_only_when_strictly_better():
+    grid = [0.0, 1.0, 2.0]
+    peak = lambda t: -(t - 0.7) ** 2  # noqa: E731
+    point, value = sf._grid_argmax(peak, grid, [peak(t) for t in grid], 60)
+    assert abs(point - 0.7) < 1e-9 and value == peak(point) > peak(1.0)
+    # the refined value equals the grid value: the grid point stays
+    flat = lambda t: 0.0  # noqa: E731
+    assert sf._grid_argmax(flat, grid, [0.0, 0.0, 0.0], 60) == (0.0, 0.0)
+
+
+def test_grid_argmax_without_a_finite_value():
+    f, calls = _counting(lambda t: 1.0)
+    assert sf._grid_argmax(f, [0.0, 1.0, 2.0], [-math.inf] * 3, 60) == (None, -math.inf)
+    assert calls == []
+
+
+# pz_lower against the loop it replaced --------------------------------------------
+
+def _ref_pz_lower(s, x, lam=None):
+    """The hand-written grid-then-golden loop of pz_lower before the shared helper."""
+    def candidate(lam_val):
+        t = _pz_t_root(s, x, lam_val)
+        if t > 0.5 * s.M:
+            return None
+        return _pz_log_value(s, t, lam_val), t
+
+    if lam is not None:
+        got = candidate(lam)
+        if got is None:
+            return BoundResult(0.0, -math.inf, "pz", False, "paley_zygmund",
+                               {"feasible": False, "lam": lam})
+        return result_from_log(got[0], "pz", True, "paley_zygmund", {"t": got[1], "lam": lam})
+    lams = np.geomspace(1e-3, 20.0, 200)
+    best, best_i = None, -1
+    for i, lv_lam in enumerate(lams):
+        got = candidate(float(lv_lam))
+        if got is not None and (best is None or got[0] > best[0]):
+            best, best_i = (got[0], got[1], float(lv_lam)), i
+    if best is None:
+        return BoundResult(0.0, -math.inf, "pz", False, "paley_zygmund", {"feasible": False})
+
+    def log_value(lam_val):
+        got = candidate(lam_val)
+        return got[0] if got else -math.inf
+
+    lam_ref = sf._golden_argmax(log_value, float(lams[max(0, best_i - 1)]),
+                                float(lams[min(len(lams) - 1, best_i + 1)]), 80)
+    got = candidate(lam_ref)
+    if got and got[0] > best[0]:
+        best = (got[0], got[1], lam_ref)
+    return result_from_log(best[0], "pz", True, "paley_zygmund", {"t": best[1], "lam": best[2]})
+
+
+def _pz_cases():
+    rng = random.Random(11)
+    specs = (Normal(2.0), Gamma(3.0), ChiSq(5), NoncentralChiSq(2, 4.0), Poisson(6.0),
+             IrwinHall(12), RademacherSum(9), WeightedChiSq(WeightVector((1.0, 0.3))))
+    sandwiches = [mgf_sandwich(spec, side) for spec in specs for side in Side]
+    for _ in range(12):  # random sandwiches, some with a small radius M
+        c1 = rng.uniform(0.05, 1.0)
+        sandwiches.append(MgfSandwich(c1, c1 * rng.uniform(1.0, 6.0), rng.uniform(0.2, 1.0),
+                                      rng.uniform(1.0, 3.0), rng.uniform(0.1, 50.0),
+                                      rng.choice([math.inf, rng.uniform(0.05, 3.0)])))
+    for s in sandwiches:
+        scale = math.sqrt(s.alpha)
+        for x in (0.0, rng.uniform(0.0, 1.0) * scale, rng.uniform(1.0, 4.0) * scale,
+                  rng.uniform(4.0, 40.0) * scale):
+            yield s, x
+
+
+def test_pz_lower_matches_the_replaced_loop():
+    rng = random.Random(5)
+    n_infeasible = n_forced = 0
+    for s, x in _pz_cases():
+        got, want = pz_lower(s, x), _ref_pz_lower(s, x)
+        assert got == want, (s, x)
+        lam = rng.choice([1e-3, 0.3, 1.0, 7.0, 20.0])
+        forced = pz_lower(s, x, lam=lam)
+        assert forced == _ref_pz_lower(s, x, lam=lam), (s, x, lam)
+        n_infeasible += not got.certified
+        n_forced += forced.certified
+    assert n_infeasible > 0 and n_forced > 0  # both outcomes were exercised
+
+
+# the binomial construction against the search it replaced ------------------------
+
+def _ref_binomial_eq8_lower(k, p, x):
+    """The construction's hand-written search before the shared helper, with a
+    flag that says whether the refined delta tied the grid point exactly."""
+    infeasible = BoundResult(0.0, -math.inf, "reverse_chernoff", False,
+                             "binomial_reverse_chernoff", {"feasible": False})
+    d_sup = k * (1.0 - p) / x
+    if d_sup <= 1.0 + 1e-12:
+        return infeasible, False
+    d_hi = min(d_sup * (1.0 - 1e-9), 400.0)
+    deltas = 1.0 + np.geomspace(1e-4 * (d_hi - 1.0), d_hi - 1.0, 240)
+    dp = 0.5 * (1.0 + deltas)
+    v_lead, v_mid, v_one = p + deltas * x / k, p + dp * x / k, p + x / k
+    lead = -k * _kl_np(p, v_lead)
+    b1 = -k * _kl_np(v_mid, v_lead)
+    b2 = -k * _kl_np(v_mid, v_one)
+    with np.errstate(over="ignore"):
+        bracket = 1.0 - np.exp(b1) - np.exp(b2)
+    ok = bracket > 0.0
+    if not ok.any():
+        return infeasible, False
+    log_vals = np.where(ok, lead + np.log(np.where(ok, bracket, 1.0)), -np.inf)
+    i = int(np.argmax(log_vals))
+
+    def log_val(d):
+        try:
+            v = binomial_eq8_value(k, p, x, d)
+        except DomainError:
+            return -math.inf
+        return math.log(v) if v > 0.0 else -math.inf
+
+    best_d = sf._golden_argmax(log_val, float(deltas[max(0, i - 1)]),
+                               float(deltas[min(len(deltas) - 1, i + 1)]), 60)
+    best_log = max(float(log_vals[i]), log_val(best_d))
+    d_used = best_d if log_val(best_d) >= float(log_vals[i]) else float(deltas[i])
+    tie = log_val(best_d) == float(log_vals[i])
+    return result_from_log(best_log, "reverse_chernoff", True, "binomial_reverse_chernoff",
+                           {"delta": d_used, "delta_prime": 0.5 * (1.0 + d_used)}), tie
+
+
+def test_binomial_construction_matches_the_replaced_search():
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(150):
+        k = rng.choice([3, 10, 25, 200, 1000, 50_000])
+        p = rng.choice([0.01, 0.1, 0.3, 0.5, 0.9])
+        x = rng.choice([rng.uniform(0.001, 0.2), rng.uniform(0.2, 1.1)]) * k * (1.0 - p)
+        got = _binomial_eq8_lower(k, p, x)
+        want, tie = _ref_binomial_eq8_lower(k, p, x)
+        outcomes.add(got.certified)
+        if tie:  # the one allowed difference: the grid delta is kept on an exact tie
+            assert (got.value, got.log_value) == (want.value, want.log_value)
+        else:
+            assert got == want, (k, p, x)
+    assert outcomes == {True, False}
+
+
+# the engine route needs both a log-MGF and a sandwich ------------------------------
+
+_ENGINE_SPECS = (
+    Normal(1.0), Normal(1e-300), Normal(1e300), Gamma(2.5), Gamma(1e-5), ChiSq(1),
+    ChiSq(10**6), WeightedChiSq(WeightVector((1.0, 0.7, 0.4))),
+    WeightedChiSq(WeightVector((1e-150,))), WeightedChiSq(WeightVector((1e150, 1.0))),
+    NoncentralChiSq(3, 2.0), NoncentralChiSq(1, 0.0), Poisson(3.0), Poisson(1e-300),
+    IrwinHall(8), IrwinHall(2**22),
+)
+
+
+def test_every_engine_family_has_a_log_mgf_and_a_sandwich():
+    engine_families = {cls for cls, entry in _BOUNDS.items() if entry.numeric is _engine_lower}
+    assert engine_families == {type(s) for s in _ENGINE_SPECS}
+    for spec in _ENGINE_SPECS:
+        mgf = log_mgf(spec)
+        assert mgf.domain.hi > 0.0 and -mgf.domain.lo > 0.0, spec  # both sides searchable
+        for side in Side:
+            mgf_sandwich(spec, side)
+
+
+def test_weights_whose_squared_norm_underflows_are_refused():
+    with pytest.raises(DomainError):
+        WeightVector((1e-170, 1e-200))
+
+
+# the Monte Carlo estimate -----------------------------------------------------------
+
+@pytest.mark.parametrize("count,n", [(0, 1000), (7, 1000), (1000, 1000), (123_456, 10**6)])
+def test_mc_estimate(count, n):
+    est = _mc_estimate(count, n)
+    assert est.value == count / n
+    assert est.log_value == (math.log(count / n) if count else -math.inf)
+    assert est.error == MonteCarloError(*clopper_pearson(count, n, 0.99), n, 0.99)
+
+
+# structural guard ------------------------------------------------------------------
+
+_SRC = pathlib.Path(tailbound.__file__).parent
+
+# what may appear only inside the named functions
+_ONE_PLACE = {
+    "no-certificate BoundResult": {"_no_certificate", "_zero_result"},
+    "clopper_pearson": {"_mc_estimate"},
+    "_golden_argmax": {"_grid_argmax"},
+}
+
+
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _kind(call):
+    name = _called_name(call)
+    if name == "BoundResult":
+        first = call.args[0] if call.args else next(
+            (kw.value for kw in call.keywords if kw.arg == "value"), None)
+        if isinstance(first, ast.Constant) and first.value == 0:
+            return "no-certificate BoundResult"
+    return name if name in _ONE_PLACE else None
+
+
+def _guarded_calls(node, func=None):
+    """(kind, innermost enclosing function) of every guarded call below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        if isinstance(child, ast.Call) and _kind(child):
+            yield _kind(child), inner
+        yield from _guarded_calls(child, inner)
+
+
+def test_each_helper_is_the_one_place_for_its_job():
+    seen = {kind: set() for kind in _ONE_PLACE}
+    strays = []
+    for path in sorted(_SRC.glob("*.py")):
+        for kind, func in _guarded_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            seen[kind].add(func)
+            if func not in _ONE_PLACE[kind]:
+                strays.append(f"{path.name}: {kind} in {func}")
+    assert strays == []
+    assert all(seen[kind] for kind in _ONE_PLACE)  # the guard is not vacuous

@@ -339,3 +339,28 @@ def test_overflowing_prefactor_raises_truncation_error(f, args):
     # the log prefactor cancels catastrophically at these shapes and overflows exp
     with pytest.raises(TruncationError, match="prefactor overflows"):
         f(*args)
+
+
+# tiny shapes ----------------------------------------------------------------------
+
+_TINY_SHAPES = (1e-20, 1e-16, 1e-12, 1e-8, 1e-5, 1e-3, 9e-3)
+
+
+@pytest.mark.parametrize("a", _TINY_SHAPES)
+def test_inc_gamma_upper_for_tiny_shapes_matches_scipy(a):
+    special = pytest.importorskip("scipy.special")
+    for y in (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0):  # y < a + 1 unless 1 + a rounds to 1
+        q, log_q = sf.inc_gamma(a, y)[2:]
+        want = special.gammaincc(a, y)
+        assert abs(q - want) <= 1e-13 * want, (a, y)
+        assert abs(log_q - math.log(want)) <= 1e-13, (a, y)
+
+
+@pytest.mark.parametrize("a,x", [(1e-16, 0.1), (1e-20, 0.5)])
+def test_gamma_tail_for_tiny_shapes(a, x):
+    special = pytest.importorskip("scipy.special")
+    from tailbound import Gamma, Side, exact_tail
+    est = exact_tail(Gamma(a), Side.UPPER, x)
+    want = special.gammaincc(a, a + x)
+    assert abs(est.value - want) <= 1e-13 * want
+    assert abs(est.log_value - math.log(want)) <= 1e-13
