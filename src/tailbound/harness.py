@@ -155,20 +155,7 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
         return max(0.0, x), None
 
     if _family(spec).support_x is not None:
-        best = None
-        log_q = math.log(q)
-        for x in _discrete_support_x(spec, side):
-            if x < 0.0:
-                continue
-            t = exact_tail(spec, side, x).log_value
-            if t == -math.inf:
-                continue
-            d = abs(t - log_q)
-            if best is None or d < best[0]:
-                best = (d, x)
-        if best is None:
-            return 0.0, "unattainable"
-        return best[1], None
+        return _nearest_support_x(spec, side, math.log(q))
 
     def tail(x: float) -> float:
         return exact_tail(spec, side, x).value
@@ -183,6 +170,36 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
                 break
             hi *= 2.0
     return _bisect(lambda x: tail(x) > q, 0.0, hi, 90), None
+
+
+def _nearest_support_x(spec, side, log_q):
+    """(x, None) for the attained support point x >= 0 whose log tail is
+    nearest log_q, the shallowest on a tie; (0.0, "unattainable") when every
+    tail is 0.
+
+    The log tail does not increase along the support, so a binary search over
+    the index finds the first point whose tail is below q; the answer is that
+    point or the one before it, stepped back over equal distances.  This picks
+    the first minimiser of a scan over every support point.
+    """
+    xs = [x for x in _discrete_support_x(spec, side) if x >= 0.0]
+    lo, hi = 0, len(xs)
+    left = right = None  # log tails at xs[lo - 1] and xs[hi], once tested
+    while lo < hi:
+        mid = (lo + hi) // 2
+        t = exact_tail(spec, side, xs[mid]).log_value
+        if t < log_q:
+            hi, right = mid, t
+        else:
+            lo, left = mid + 1, t
+    if left is not None and (right is None or abs(left - log_q) <= abs(right - log_q)):
+        d, i = abs(left - log_q), lo - 1
+        while i > 0 and abs(exact_tail(spec, side, xs[i - 1]).log_value - log_q) == d:
+            i -= 1
+        return xs[i], None
+    if right is None or right == -math.inf:
+        return 0.0, "unattainable"
+    return xs[hi], None
 
 
 _PASS_TOL = 1e-10  # absolute slack of the pass check on each side
@@ -242,9 +259,17 @@ def run_grid(
                       for q in x_policy.q]
             else:
                 xs = [(float(x), None) for x in x_policy.x]
+            # a row depends only on (x, flag, tier) and this side's draws, so a
+            # threshold that several depths map to is certified once; x.hex()
+            # keeps -0.0 apart from 0.0, as the report prints them differently
+            done = {}
             for x, flag in xs:
-                rows.extend(_compute_row(spec, side, x, tier, flag, draws, fault_lower_scale)
-                            for tier in tiers)
+                for tier in tiers:
+                    key = (x.hex(), flag, tier)
+                    if key not in done:
+                        done[key] = _compute_row(spec, side, x, tier, flag, draws,
+                                                 fault_lower_scale)
+                    rows.append(done[key])
     n_pass = sum(1 for r in rows if r.passed)
     summary = {
         "n_pass": n_pass,

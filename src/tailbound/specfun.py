@@ -10,12 +10,14 @@ The single-value functions are views of these pairs.
 
 Scalar searches: ``_golden_min`` (golden section to a tolerance),
 ``_golden_argmax`` (fixed-step golden section), ``_grid_argmax`` (a grid
-maximum refined by ``_golden_argmax``) and ``_bisect`` (fixed-step bisection).
+maximum refined by ``_golden_argmax``) and ``_bisect`` (bisection for at most a
+step count, ended once the midpoint rounds onto an end of the bracket).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ _MAX_ITER = 800
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MAX_SHAPE = 2.5e305  # ln Gamma overflows a double beyond about 2.56e305
+_MIN_SHAPE = sys.float_info.min  # the smallest normal double; 1 / a overflows below ~5.6e-309
 # ln Gamma(1 + a) = sum_{k>=1} c_k a^k with c_1 = -gamma and c_k = (-1)^k zeta(k) / k;
 # for a < 1e-2 the terms beyond a^9 fall below 1e-19 of the sum
 _LGAMMA1P_COEFFS = (-0.5772156649015329, 0.8224670334241132, -0.40068563438653143,
@@ -74,12 +77,10 @@ def _lower_series(a: float, y: float) -> tuple[float, float]:
     log_front = a * math.log(y) - y - math.lgamma(a)
     term = 1.0 / a
     total = term
-    n = 0
-    while n < _MAX_ITER:
-        n += 1
+    for n in range(1, _MAX_ITER + 1):
         term *= y / (a + n)
         total += term
-        if abs(term) < abs(total) * _MACHEP:
+        if term < total * _MACHEP:  # every term is positive
             return log_front, total
     raise TruncationError(f"incomplete gamma series failed to converge (a={a}, y={y})")
 
@@ -156,6 +157,9 @@ def reg_inc_gamma_upper_cf(a: float, y: float) -> float:
 def _check_gamma_args(a: float, y: float):
     if not 0.0 < a <= _MAX_SHAPE:
         raise DomainError(f"incomplete gamma requires 0 < a <= {_MAX_SHAPE:g}, got a={a}")
+    if a < _MIN_SHAPE:
+        raise DomainError(f"incomplete gamma requires a normal shape a >= {_MIN_SHAPE:g}, "
+                          f"got subnormal a={a}")
     if y < 0.0 or math.isnan(y):
         raise DomainError(f"incomplete gamma requires y >= 0, got y={y}")
 
@@ -429,9 +433,17 @@ def _grid_argmax(log_f, grid, logs, iters: int) -> tuple[float | None, float]:
 
 def _bisect(below, lo: float, hi: float, iters: int) -> float:
     """Midpoint of the bracket left after ``iters`` bisection steps on
-    [lo, hi], where ``below(t)`` says the sought point lies above t."""
+    [lo, hi], where ``below(t)`` says the sought point lies above t.
+
+    Stops without testing a midpoint that rounds onto an end of the bracket:
+    whatever ``below`` says there, the bracket then stays put or shrinks onto
+    that midpoint, and so does every later step, so the result of all
+    ``iters`` steps is that midpoint.
+    """
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if below(mid):
             lo = mid
         else:
