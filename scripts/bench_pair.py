@@ -1,20 +1,18 @@
 """Paired benchmark of two commits: perfbench end-to-end metrics, traced counts, verify time.
 
-    python3 scripts/bench_pair.py --base HEAD~1 [--change REV] [--pairs 10] \
-        [--seconds S] --out BENCH.json
+    python3 scripts/bench_pair.py --base HEAD~1 --change HEAD --out BENCH.json
 
-Each side is extracted with ``git archive`` into a scratch directory (the
-change side is the working tree when ``--change`` is not given) and runs its
-own ``perfbench/run.py``.  For every workload in ``BENCHMARK.json``, pair i
-runs both sides at seed i + 1 for ``--seconds`` (by default the benchmark's
-``run_seconds``), base first in even pairs and change first in odd pairs, so
-drift of the machine falls on both sides alike.  The output JSON gives, for
-each end-to-end metric, the medians and quartiles of both sides, the change's
-wins over the pairs, and whether the change is better in the median by more
-than the base's interquartile range.  It adds the traced ``quantile-map --seed 42`` counts and
-the wall time of ``tailbound verify --seed 42`` on both sides (alternating,
-``--pairs`` runs each), with a check that both reports have the same bytes
-apart from ``timestamp``.
+Each side is extracted with ``git archive`` into a scratch directory and runs
+its own ``perfbench/run.py``.  For every workload in ``BENCHMARK.json``, pair i
+of 10 runs both sides at seed i + 1 for the benchmark's ``run_seconds``, base
+first in even pairs and change first in odd pairs, so drift of the machine
+falls on both sides alike.  The output JSON gives, for each end-to-end metric,
+the medians and quartiles of both sides, the change's wins over the pairs, and
+whether the change is better in the median by more than the base's
+interquartile range.  It adds the traced ``quantile-map --seed 42`` counts and
+the wall time of ``tailbound verify --seed 42`` on both sides (alternating, 10
+runs each), with a check that both reports have the same bytes apart from
+``timestamp``.
 
 Run from the repository root; the runs are serial, one process at a time.
 """
@@ -37,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+PAIRS = 10
+SECONDS = BENCHMARK["run_seconds"]
 TRACED_COUNTS = ("oracle.exact_tail.calls", "specfun.calls", "harness.exact_tail_calls",
                  "oracle.exact_tail.noncentral_chisq.ms", "specfun.inc_gamma_series_us",
                  "oracle.clopper_pearson_1e6_us")
@@ -105,33 +105,27 @@ def without_timestamp(path: Path) -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", default="HEAD~1", help="git revision of the base side")
-    p.add_argument("--change", default=None, help="git revision of the change side "
-                   "(default: the working tree)")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
+    p.add_argument("--base", required=True, help="git revision of the base side")
+    p.add_argument("--change", required=True, help="git revision of the change side")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs needs at least 2 for quartiles")
 
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         tmp = Path(tmp)
-        sides = {"base": extract(args.base, tmp / "base"),
-                 "change": ROOT if args.change is None else extract(args.change, tmp / "change")}
+        sides = {name: extract(rev, tmp / name)
+                 for name, rev in (("base", args.base), ("change", args.change))}
         result = {
-            "base": revision(args.base),
-            "change": "working tree" if args.change is None else revision(args.change),
+            "base": revision(args.base), "change": revision(args.change),
             "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                         "platform": platform.platform()},
-            "seconds": args.seconds, "pairs": args.pairs, "workloads": {},
+            "seconds": SECONDS, "pairs": PAIRS, "workloads": {},
         }
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs = {"base": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for name in order(i):
                     res = run_json(sides[name], "--workload", workload, "--seed", str(i + 1),
-                                   "--seconds", str(args.seconds), "--trace", "0")
+                                   "--seconds", str(SECONDS), "--trace", "0")
                     runs[name].append(res)
                     print(f"{workload} pair {i} {name}: "
                           f"ops_per_s {res['metrics']['ops_per_s']['value']:.4g}", flush=True)
@@ -148,14 +142,14 @@ def main(argv=None) -> int:
             }
 
         traced = {name: run_json(side, "--workload", "quantile-map", "--seed", "42",
-                                 "--seconds", str(args.seconds), "--trace", "1")
+                                 "--seconds", str(SECONDS), "--trace", "1")
                   for name, side in sides.items()}
         result["traced_quantile_map_seed42"] = {
             metric: {name: traced[name]["metrics"][metric]["value"] for name in sides}
             for metric in TRACED_COUNTS}
 
         walls = {"base": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for name in order(i):
                 walls[name].append(verify_wall(sides[name], tmp / f"verify-{name}.json"))
         result["verify_seed42_s"] = summarize(walls["base"], walls["change"], "lower")

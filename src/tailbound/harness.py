@@ -259,17 +259,9 @@ def run_grid(
                       for q in x_policy.q]
             else:
                 xs = [(float(x), None) for x in x_policy.x]
-            # a row depends only on (x, flag, tier) and this side's draws, so a
-            # threshold that several depths map to is certified once; x.hex()
-            # keeps -0.0 apart from 0.0, as the report prints them differently
-            done = {}
             for x, flag in xs:
-                for tier in tiers:
-                    key = (x.hex(), flag, tier)
-                    if key not in done:
-                        done[key] = _compute_row(spec, side, x, tier, flag, draws,
-                                                 fault_lower_scale)
-                    rows.append(done[key])
+                rows.extend(_compute_row(spec, side, x, tier, flag, draws, fault_lower_scale)
+                            for tier in tiers)
     n_pass = sum(1 for r in rows if r.passed)
     summary = {
         "n_pass": n_pass,

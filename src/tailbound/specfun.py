@@ -155,11 +155,9 @@ def reg_inc_gamma_upper_cf(a: float, y: float) -> float:
 
 
 def _check_gamma_args(a: float, y: float):
-    if not 0.0 < a <= _MAX_SHAPE:
-        raise DomainError(f"incomplete gamma requires 0 < a <= {_MAX_SHAPE:g}, got a={a}")
-    if a < _MIN_SHAPE:
-        raise DomainError(f"incomplete gamma requires a normal shape a >= {_MIN_SHAPE:g}, "
-                          f"got subnormal a={a}")
+    if not _MIN_SHAPE <= a <= _MAX_SHAPE:
+        raise DomainError(f"incomplete gamma requires {_MIN_SHAPE:g} <= a <= {_MAX_SHAPE:g}, "
+                          f"got a={a}")
     if y < 0.0 or math.isnan(y):
         raise DomainError(f"incomplete gamma requires y >= 0, got y={y}")
 

@@ -1,10 +1,10 @@
 """Quantile mapping makes few exact-tail calls and returns the same thresholds.
 
-``specfun._bisect`` stops once its bracket stops moving, discrete families
-binary-search the support index, and the sweep certifies a repeated threshold
-once.  Each is checked against a test-side copy of the code it replaced, and
-the number of exact tails per query is held to a budget.  Randomised checks
-are in ``test_quantile_search_props.py``.
+``specfun._bisect`` stops once its bracket stops moving and discrete families
+binary-search the support index.  Each is checked against a test-side copy of
+the code it replaced, and the number of exact tails per query is held to a
+budget.  The same checks run on random inputs in
+``test_quantile_search_props.py`` when hypothesis is installed.
 """
 
 import math
@@ -15,13 +15,12 @@ import pytest
 from tailbound import harness
 from tailbound import specfun as sf
 from tailbound.cli import main
-from tailbound.dist_bounds import NUMERIC, RATE
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson,
     RademacherSum, Side,
 )
 from tailbound.errors import DomainError
-from tailbound.harness import AbsoluteGrid, QuantileGrid, run_grid
+from tailbound.oracle import ExactError, TailEstimate
 
 # the specs of the quantile-map benchmark workload
 CONTINUOUS = (
@@ -71,6 +70,62 @@ def bits(result):
     return x.hex(), flag
 
 
+def check_bisect(lo, hi, step, closed, iters):
+    """``_bisect`` on the step predicate at ``step`` ("lo", "hi" or a fraction of
+    the bracket) equals the fixed-step loop, in at most ``iters`` tests."""
+    c = {"lo": lo, "hi": hi}.get(step)
+    if c is None:
+        c = lo + step * (hi - lo)
+    below = (lambda t: t <= c) if closed else (lambda t: t < c)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return below(t)
+    assert sf._bisect(counted, lo, hi, iters) == fixed_step_bisect(below, lo, hi, iters)
+    assert len(calls) <= iters
+
+
+def check_discrete_quantile(spec, side, q):
+    """The index search equals the support scan, within 2 ceil(log2 n) + 4 tails."""
+    n = sum(1 for x in harness._discrete_support_x(spec, side) if x >= 0.0)
+    calls = []
+    exact_tail = harness.exact_tail
+
+    def counted(*args):
+        calls.append(args)
+        return exact_tail(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "exact_tail", counted)
+        got = harness._bisect_quantile_flagged(spec, side, q)
+    assert bits(got) == bits(support_scan(spec, side, q))
+    assert harness.bisect_quantile(spec, side, q) == got[0]
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4
+
+
+def check_tie_rules(logs, n_zero, negative_first, log_q):
+    """The index search equals the scan on a synthetic support: points 0, 1, ...
+    with the non-increasing log tails ``sorted(logs)`` followed by ``n_zero`` zero
+    tails, and optionally a negative first point, which both skip."""
+    logs = sorted(logs, reverse=True) + [-math.inf] * n_zero
+    xs = [float(i) for i in range(len(logs))]
+    if negative_first:
+        xs = [-1e-10] + xs
+        logs = [0.0] + logs
+    tails = dict(zip(xs, logs))
+
+    def exact_tail(spec, side, x):
+        if x < 0.0:
+            raise DomainError(f"tail threshold must be >= 0, got {x}")
+        return TailEstimate(math.exp(tails[x]), tails[x], ExactError(0.0))
+    spec, side = Poisson(3.0), Side.UPPER
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_discrete_support_x", lambda spec, side: xs)
+        mp.setattr(harness, "exact_tail", exact_tail)
+        assert bits(harness._nearest_support_x(spec, side, log_q)) == \
+            bits(scan_from_log(spec, side, log_q))
+
+
 @pytest.fixture
 def tail_calls(monkeypatch):
     """Count the exact tails the quantile mapping evaluates."""
@@ -106,6 +161,19 @@ def test_bisect_step_at_an_untested_end(step):
         assert sf._bisect(below, lo, hi, 90) == fixed_step_bisect(below, lo, hi, 90)
 
 
+@pytest.mark.parametrize("bracket,step,closed,iters", [
+    ((1.0, 2.0), "lo", False, 90),
+    ((1.0, 2.0), "hi", True, 90),
+    ((0.0, 5e-324), "lo", True, 100),                       # a one-ulp subnormal bracket
+    ((0.0, 5e-324), "hi", False, 100),
+    ((0.0, 2.2250738585072014e-308), 0.3, False, 100),      # subnormal bracket, inner step
+    ((-1e300, 1e300), 0.5, True, 90),                       # the step at 0
+    ((3.0, 3.0), "lo", False, 90),                          # an empty bracket
+])
+def test_bisect_equals_fixed_step_loop_on_edge_cases(bracket, step, closed, iters):
+    check_bisect(*bracket, step, closed, iters)
+
+
 def test_bisect_keeps_its_step_count_when_the_bracket_keeps_moving():
     calls = []
 
@@ -139,7 +207,7 @@ def test_continuous_quantile_tail_budget(tail_calls, spec):
 def test_median_of_symmetric_family_takes_every_step(tail_calls):
     # the threshold is 0, where bisection never reaches adjacent doubles:
     # tail(0), the bracket end and 90 steps
-    assert harness.bisect_quantile(Normal(1.0), Side.UPPER, 0.5) == 2.0 ** -91
+    assert 0.0 <= harness.bisect_quantile(Normal(1.0), Side.UPPER, 0.5) < 1e-20
     assert len(tail_calls) <= 92
 
 
@@ -169,6 +237,31 @@ def test_discrete_quantile_equals_support_scan_and_fits_budget(tail_calls, spec)
 def test_discrete_quantile_at_the_support_ends(spec, side, q, x):
     assert harness._bisect_quantile_flagged(spec, side, q) == (x, None)
     assert support_scan(spec, side, q) == (x, None)
+
+
+@pytest.mark.parametrize("spec,side,q", [
+    (Binomial(1, 1e-12), Side.LOWER, 1.0 - 1e-15),     # shallower than every tail
+    (Binomial(400, 1.0 - 1e-12), Side.UPPER, 5e-324),  # deeper than every attained tail
+    (Poisson(200.0), Side.UPPER, 5e-324),
+    (Poisson(0.1), Side.UPPER, 1e-300),
+    (RademacherSum(400), Side.LOWER, 0.999),
+], ids=repr)
+def test_discrete_quantile_equals_support_scan_on_edge_cases(spec, side, q):
+    check_discrete_quantile(spec, side, q)
+
+
+# the tie rules, on synthetic log tails ----------------------------------------------
+
+@pytest.mark.parametrize("logs,n_zero,negative_first,log_q", [
+    ([-1.0, -1.0, -1.0, -3.0], 0, False, -1.5),   # equal tails before the step
+    ([-1e-17, -2e-17, -60.0], 0, False, -20.0),   # equal distances over unequal tails
+    ([-10.0, -30.0], 0, False, -20.0),            # a tie across the step
+    ([], 3, False, -1.0),                         # every tail is 0
+    ([-5.0], 0, True, -1.0),                      # a negative first point
+    ([-1.0, -2.0], 2, False, -50.0),              # deeper than every finite tail
+])
+def test_index_search_follows_the_scan_tie_rules(logs, n_zero, negative_first, log_q):
+    check_tie_rules(logs, n_zero, negative_first, log_q)
 
 
 # the incomplete-gamma series ------------------------------------------------------
@@ -218,40 +311,5 @@ def test_subnormal_gamma_shape_exits_3(capsys, argv):
     code = main([argv[0], "--dist", '{"family":"gamma","params":{"alpha":1e-310}}', *argv[1:]])
     err = capsys.readouterr().err
     assert code == 3
-    assert "subnormal a=1e-310" in err
+    assert "2.22507e-308 <= a <= 2.5e+305, got a=1e-310" in err
 
-
-# the sweep certifies a repeated threshold once ----------------------------------
-
-def test_sweep_computes_each_repeated_row_once(monkeypatch):
-    computed = []
-    compute_row = harness._compute_row
-
-    def counted(spec, side, x, tier, *args):
-        computed.append((side, x, tier))
-        return compute_row(spec, side, x, tier, *args)
-    monkeypatch.setattr(harness, "_compute_row", counted)
-    report = run_grid(families=(Poisson(3.0),), tiers=(NUMERIC, RATE))
-    rows = report.rows
-    assert len(rows) == 2 * 2 * len(harness.DEFAULT_QUANTILES)
-    assert len(computed) == len(set(computed)) < len(rows)
-    # Poisson(3) lower maps five depths to x = 3: one row object per tier
-    at_3 = [r for r in rows if r.side is Side.LOWER and r.x == 3.0]
-    assert len(at_3) == 10 and len({id(r) for r in at_3}) == 2
-    for i, r in enumerate(rows):  # each row equals one computed afresh
-        fresh = compute_row(r.spec, r.side, r.x, (NUMERIC, RATE)[i % 2], None, None, 1.0)
-        assert fresh.to_json() == r.to_json()
-
-
-def test_sweep_keeps_signed_zero_thresholds_apart():
-    report = run_grid(families=(Poisson(3.0),), x_policy=AbsoluteGrid((0.0, -0.0, 0.0)))
-    signs = [math.copysign(1.0, r.x) for r in report.rows]
-    assert signs == [1.0, -1.0, 1.0] * 2
-    assert report.rows[0] is report.rows[2] and report.rows[0] is not report.rows[1]
-
-
-def test_sweep_rows_keep_their_order_with_repeats():
-    report = run_grid(families=(Binomial(25, 0.3),), x_policy=QuantileGrid((0.5, 0.25, 0.5)))
-    xs = [(r.side, r.x) for r in report.rows]
-    assert xs[0] == xs[2] and xs[3] == xs[5]
-    assert [r.side for r in report.rows] == [Side.UPPER] * 3 + [Side.LOWER] * 3

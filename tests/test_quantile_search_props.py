@@ -1,38 +1,25 @@
-"""Randomised equality checks for quantile mapping.
+"""Randomised equality checks for quantile mapping, when hypothesis is installed.
 
 ``specfun._bisect`` against the fixed-step loop it replaced, on random
 monotone step predicates; the discrete index search against a scan of every
 support point, on real families and on synthetic non-increasing log tails
-with ties, near ties and zero tails.
+with ties, near ties and zero tails.  The edge cases of each run without
+hypothesis in ``test_quantile_search.py``, which holds the checks.
 """
 
 import math
 
 import pytest
 
-from tailbound import harness
-from tailbound import specfun as sf
 from tailbound.dist_model import Binomial, Poisson, RademacherSum, Side
-from tailbound.errors import DomainError
-from tailbound.oracle import ExactError, TailEstimate
 
-from test_quantile_search import bits, fixed_step_bisect, scan_from_log, support_scan
+from test_quantile_search import check_bisect, check_discrete_quantile, check_tie_rules
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-given, example, settings = hypothesis.given, hypothesis.example, hypothesis.settings
+given, settings = hypothesis.given, hypothesis.settings
 
 SUBNORMAL = 2.2250738585072014e-308
-
-
-def _counted(below):
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        return below(t)
-    return f, calls
-
 
 brackets = st.one_of(
     st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
@@ -44,18 +31,8 @@ brackets = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(brackets, st.one_of(st.sampled_from(["lo", "hi"]), st.floats(-0.25, 1.25)),
        st.booleans(), st.integers(0, 1200))
-@example([1.0, 2.0], "lo", False, 90)
-@example([1.0, 2.0], "hi", True, 90)
-@example([0.0, 5e-324], "lo", True, 100)
 def test_bisect_equals_fixed_step_loop(bracket, step, closed, iters):
-    lo, hi = bracket
-    c = {"lo": lo, "hi": hi}.get(step)
-    if c is None:
-        c = lo + step * (hi - lo)
-    below = (lambda t: t <= c) if closed else (lambda t: t < c)
-    f, calls = _counted(below)
-    assert sf._bisect(f, lo, hi, iters) == fixed_step_bisect(below, lo, hi, iters)
-    assert len(calls) <= iters
+    check_bisect(*bracket, step, closed, iters)
 
 
 # discrete quantile mapping on real families --------------------------------------
@@ -75,23 +52,8 @@ depths = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(discrete_specs, st.sampled_from([Side.UPPER, Side.LOWER]), depths)
-@example(Binomial(1, 1e-12), Side.LOWER, 1.0 - 1e-15)
-@example(Binomial(400, 1.0 - 1e-12), Side.UPPER, 5e-324)
-@example(Poisson(200.0), Side.UPPER, 5e-324)
 def test_discrete_quantile_equals_support_scan(spec, side, q):
-    xs = [x for x in harness._discrete_support_x(spec, side) if x >= 0.0]
-    calls = []
-    exact_tail = harness.exact_tail
-
-    def counted(*args):
-        calls.append(args)
-        return exact_tail(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "exact_tail", counted)
-        got = harness._bisect_quantile_flagged(spec, side, q)
-    assert bits(got) == bits(support_scan(spec, side, q))
-    assert harness.bisect_quantile(spec, side, q) == got[0]
-    assert len(calls) <= 2 * math.ceil(math.log2(len(xs))) + 4
+    check_discrete_quantile(spec, side, q)
 
 
 # the tie rules, on synthetic log tails ---------------------------------------------
@@ -105,26 +67,5 @@ log_tail_lists = st.lists(st.one_of(st.sampled_from(NEAR), st.floats(-60.0, 0.0)
 @settings(max_examples=400, deadline=None)
 @given(log_tail_lists, st.integers(0, 4), st.booleans(),
        st.one_of(st.sampled_from(NEAR), st.floats(-70.0, 0.0)))
-@example([-1.0, -1.0, -1.0, -3.0], 0, False, -1.5)          # equal tails before the step
-@example([-1e-17, -2e-17, -30.0], 0, False, -20.0)          # equal distances, unequal tails
-@example([-10.0, -30.0], 0, False, -20.0)                   # a tie across the step
-@example([], 3, False, -1.0)                                # every tail is 0
-@example([-5.0], 0, True, -1.0)                             # a negative first point
 def test_index_search_follows_the_scan_tie_rules(logs, n_zero, negative_first, log_q):
-    logs = sorted(logs, reverse=True) + [-math.inf] * n_zero
-    xs = [float(i) for i in range(len(logs))]
-    if negative_first:
-        xs = [-1e-10] + xs
-        logs = [0.0] + logs
-    tails = dict(zip(xs, logs))
-
-    def exact_tail(spec, side, x):
-        if x < 0.0:
-            raise DomainError(f"tail threshold must be >= 0, got {x}")
-        return TailEstimate(math.exp(tails[x]), tails[x], ExactError(0.0))
-    spec, side = Poisson(3.0), Side.UPPER
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_discrete_support_x", lambda spec, side: xs)
-        mp.setattr(harness, "exact_tail", exact_tail)
-        assert bits(harness._nearest_support_x(spec, side, log_q)) == \
-            bits(scan_from_log(spec, side, log_q))
+    check_tie_rules(logs, n_zero, negative_first, log_q)
