@@ -25,7 +25,7 @@ from . import oracle, specfun
 from .dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq,
     Normal, Poisson, RademacherSum, Side, WeightedChiSq,
-    family_name, log_mgf, mean_shift, variance,
+    _FAMILY, family_name, log_mgf, mean_shift, support_extent, variance,
 )
 from .engine_lower import pz_lower, reverse_chernoff_lower
 from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
@@ -86,6 +86,14 @@ def _chisq_like_sandwich(alpha: float, side: Side, linf: float = 1.0) -> MgfSand
                      (2.0 / 3.0, 1.0, 1.0, 1.0, alpha, 0.25 / linf))
 
 
+# Citations of the formulas other than the closed-form upper bounds and the rate
+# forms; the bound functions and the records' ``other_formulas`` read them.
+_BETA_REGIME_RATE = "beta_regime_rate"
+_GAMMA_SMALL_SHAPE = "gamma_small_shape"
+_BINOMIAL_BOUNDARY = "binomial_boundary"
+_POISSON_BOUNDARY = "poisson_boundary"
+
+
 # ---------------------------------------------------------------------------
 # exact special regions: support zeros and discrete boundary values
 # ---------------------------------------------------------------------------
@@ -111,21 +119,13 @@ def _beta_region(spec: Beta, side: Side, x: float) -> BoundResult | None:
 
 
 def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None:
-    k, p = spec.k, spec.p
-    if side is Side.UPPER:
-        if x > k * (1.0 - p):
-            return _zero_result("binomial_support")
-        if k * p + x < 1.0:
-            v, lv = oracle.binom_at_least_one(k, p)
-            return BoundResult(v, lv, "boundary_exact", True, "binomial_boundary",
-                               {"formula": "1-(1-p)^k"})
-    else:
-        if x > k * p:
-            return _zero_result("binomial_support")
-        if k * (1.0 - p) + x < 1.0:
-            v, lv = oracle.binom_at_least_one(k, 1.0 - p)
-            return BoundResult(v, lv, "boundary_exact", True, "binomial_boundary",
-                               {"formula": "1-p^k"})
+    if x > support_extent(spec, side):
+        return _zero_result("binomial_support")
+    q = spec.p if side is Side.UPPER else 1.0 - spec.p  # success rate of the tail's count
+    if spec.k * q + x < 1.0:
+        v, lv = oracle.binom_at_least_one(spec.k, q)
+        return BoundResult(v, lv, "boundary_exact", True, _BINOMIAL_BOUNDARY,
+                           {"formula": "1-(1-p)^k" if side is Side.UPPER else "1-p^k"})
     return None
 
 
@@ -133,7 +133,7 @@ def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
     if side is Side.UPPER and spec.lam + x < 1.0:
         v = -math.expm1(-spec.lam)
         lv = math.log1p(-math.exp(-spec.lam))
-        return BoundResult(v, lv, "boundary_exact", True, "poisson_boundary",
+        return BoundResult(v, lv, "boundary_exact", True, _POISSON_BOUNDARY,
                            {"formula": "1-exp(-lambda)"})
     if side is Side.LOWER and x > spec.lam:
         return _zero_result("poisson_support")
@@ -149,42 +149,44 @@ def _closed(log_value: float, cite: str, params: dict | None = None) -> BoundRes
     return result_from_log(log_value, "closed_form", True, cite, params)
 
 
-def _gamma_upper(spec: Gamma, side: Side, x: float, tier) -> BoundResult:
+def _gamma_upper(spec: Gamma, side: Side, x: float, tier, cite: str) -> BoundResult:
     a = spec.alpha
     if side is Side.UPPER:
         lv = -x * x / (x + a + math.sqrt(a * a + 2.0 * x * a))
     else:
         lv = -x * x / (2.0 * a)
-    return _closed(lv, "sub_gamma")
+    return _closed(lv, cite)
 
 
-def _chisq_upper(spec: ChiSq, side: Side, x: float, tier) -> BoundResult:
+def _chisq_upper(spec: ChiSq, side: Side, x: float, tier, cite: str) -> BoundResult:
     k = float(spec.k)
     if side is Side.UPPER:
         lv = -x * x / (2.0 * (k + x) + 2.0 * math.sqrt(k * k + 2.0 * k * x))
     else:
         lv = -x * x / (4.0 * k)
-    return _closed(lv, "laurent_massart")
+    return _closed(lv, cite)
 
 
-def _weighted_chisq_upper(spec: WeightedChiSq, side: Side, x: float, tier) -> BoundResult:
+def _weighted_chisq_upper(spec: WeightedChiSq, side: Side, x: float, tier,
+                          cite: str) -> BoundResult:
     u = spec.u
     if side is Side.UPPER:
         root = (math.sqrt(u.l2_sq + 2.0 * u.linf * x) - math.sqrt(u.l2_sq)) / (2.0 * u.linf)
         lv = -root * root
     else:
         lv = -x * x / (4.0 * u.l2_sq)
-    return _closed(lv, "laurent_massart")
+    return _closed(lv, cite)
 
 
-def _nc_chisq_upper(spec: NoncentralChiSq, side: Side, x: float, tier) -> BoundResult:
+def _nc_chisq_upper(spec: NoncentralChiSq, side: Side, x: float, tier,
+                    cite: str) -> BoundResult:
     a = spec.k + 2.0 * spec.lam
     if side is Side.UPPER:
         root = 0.5 * (math.sqrt(a + 2.0 * x) - math.sqrt(a))
         lv = -root * root
     else:
         lv = -x * x / (4.0 * a)
-    return _closed(lv, "birge_noncentral")
+    return _closed(lv, cite)
 
 
 def _beta_regime_rate(a: float, b: float, x: float, side: Side) -> tuple[float, str]:
@@ -202,32 +204,32 @@ def _require_beta_bound_params(spec: Beta):
             f"beta bound routines need alpha, beta >= 1, got ({spec.alpha}, {spec.beta})")
 
 
-def _beta_upper(spec: Beta, side: Side, x: float, tier) -> BoundResult:
+def _beta_upper(spec: Beta, side: Side, x: float, tier, cite: str) -> BoundResult:
     """The always-valid sub-Gaussian form, or with a rate-form tier the
     two-regime shape with the tier's decay constant."""
     _require_beta_bound_params(spec)
     if tier is not None and tier.tier is Tier.RATE:
         rate, desc = _beta_regime_rate(spec.alpha, spec.beta, x, side)
         lv = math.log(2.0) - tier.C_default * rate
-        return result_from_log(lv, "rate_form", False, "beta_regime_rate",
+        return result_from_log(lv, "rate_form", False, _BETA_REGIME_RATE,
                                {"rate": desc, "C": tier.C_default})
-    return _closed(-2.0 * (spec.alpha + spec.beta + 1.0) * x * x, "beta_subgaussian")
+    return _closed(-2.0 * (spec.alpha + spec.beta + 1.0) * x * x, cite)
 
 
-def _binomial_upper(spec: Binomial, side: Side, x: float, tier) -> BoundResult:
+def _binomial_upper(spec: Binomial, side: Side, x: float, tier, cite: str) -> BoundResult:
     k, p = spec.k, spec.p
     v = p + x / k if side is Side.UPPER else p - x / k
-    return _closed(-k * specfun.bernoulli_kl(p, min(1.0, max(0.0, v))), "kl_chernoff")
+    return _closed(-k * specfun.bernoulli_kl(p, min(1.0, max(0.0, v))), cite)
 
 
-def _poisson_upper(spec: Poisson, side: Side, x: float, tier) -> BoundResult:
+def _poisson_upper(spec: Poisson, side: Side, x: float, tier, cite: str) -> BoundResult:
     u = x / spec.lam if side is Side.UPPER else -x / spec.lam
-    return _closed(-bennett_rate(spec.lam, u), "bennett")
+    return _closed(-bennett_rate(spec.lam, u), cite)
 
 
-def _irwin_hall_upper(spec: IrwinHall, side: Side, x: float, tier) -> BoundResult:
+def _irwin_hall_upper(spec: IrwinHall, side: Side, x: float, tier, cite: str) -> BoundResult:
     k = spec.k
-    return _closed(-k * specfun.bernoulli_kl(0.5, 0.5 + x / k), "kl_chernoff_symmetric",
+    return _closed(-k * specfun.bernoulli_kl(0.5, 0.5 + x / k), cite,
                    {"relaxed_exponent": -x * x / k})
 
 
@@ -242,11 +244,9 @@ def _gamma_small_shape_lower(a: float, x: float, side: Side) -> BoundResult:
         # (1/e) ((a+x+1)^a - (a+x)^a) / (e^(a+x) Gamma(a+1))
         log_diff = a * math.log(a + x) + math.log(math.expm1(a * math.log1p(1.0 / (a + x))))
         lv = -1.0 + log_diff - (a + x) - math.lgamma(a + 1.0)
-    else:
-        if x >= a:
-            return _zero_result("gamma_support")
+    else:  # x < a: the special region serves the zero tail beyond
         lv = a * math.log(a - x) - 1.0 - math.lgamma(a + 1.0)
-    return result_from_log(lv, "closed_form", True, "gamma_small_shape")
+    return result_from_log(lv, "closed_form", True, _GAMMA_SMALL_SHAPE)
 
 
 def gamma_small_shape_upper_end(a: float, x: float) -> float:
@@ -372,7 +372,7 @@ def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# rate forms: (rate value, rate description, window description)
+# rate forms and the per-family records
 # ---------------------------------------------------------------------------
 
 # Window constants: left tails stay within (scale)/beta, beta tails within
@@ -380,172 +380,140 @@ def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
 _WINDOW_BETA = 2.0
 _WINDOW_ETA = 2.0
 
-
-def _gamma_rate(spec: Gamma, side: Side, x: float):
-    a = spec.alpha
-    if side is Side.UPPER:
-        return min(x, x * x / a), "min(x, x^2/alpha)", "x >= 0"
-    win = a / _WINDOW_BETA
-    if x > win:
-        raise WindowError(f"gamma left-tail rate form requires x <= alpha/beta = {win}")
-    return x * x / a, "x^2/alpha", f"0 <= x <= alpha/{_WINDOW_BETA}"
+_EVERY_X = "x >= 0"
 
 
-def _chisq_rate(spec: ChiSq, side: Side, x: float):
-    k = float(spec.k)
-    if side is Side.UPPER:
-        return min(x, x * x / k), "min(x, x^2/k)", "x > 0"
-    win = k / _WINDOW_BETA
-    if x > win:
-        raise WindowError(f"chi-square left-tail rate form requires x <= k/beta = {win}")
-    return x * x / k, "x^2/k", f"0 < x <= k/{_WINDOW_BETA}"
+@dataclass(frozen=True)
+class _Rate:
+    """Rate form of one tail: ``of(spec, x)`` gives (rate, description) wherever
+    ``ok(spec, x)`` holds; ``window`` is the only text of that condition."""
+
+    of: Callable
+    window: str = _EVERY_X
+    ok: Callable = lambda s, x: True
 
 
-def _weighted_chisq_rate(spec: WeightedChiSq, side: Side, x: float):
-    u = spec.u
-    knee = u.l2_sq / u.linf
-    if side is Side.UPPER:
-        if x <= knee:
-            return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
-        return x / u.linf, "x/|u|_inf", "x > |u|_2^2/|u|_inf"
-    if x > knee:
-        raise WindowError(
-            f"weighted chi-square left-tail rate form requires x <= |u|_2^2/|u|_inf = {knee}")
-    return x * x / u.l2_sq, "x^2/|u|_2^2", "0 <= x <= |u|_2^2/|u|_inf"
-
-
-def _nc_chisq_rate(spec: NoncentralChiSq, side: Side, x: float):
-    a = spec.k + 2.0 * spec.lam
-    if side is Side.UPPER:
-        if x <= a:
-            return x * x / a, "x^2/(k+2 lambda)", "0 <= x <= k+2 lambda"
-        return x, "x", "x >= k+2 lambda"
-    win = (spec.k + spec.lam) / _WINDOW_BETA
-    if x > win:
-        raise WindowError(
-            f"noncentral chi-square left-tail rate form requires x <= (k+lambda)/beta = {win}")
-    return x * x / a, "x^2/(k+2 lambda)", f"0 < x <= (k+lambda)/{_WINDOW_BETA}"
-
-
-def _beta_rate(spec: Beta, side: Side, x: float):
+def _beta_in_window(spec: Beta, edge: float, x: float) -> bool:
+    """Beta's rate window; shapes below 1 are refused before it is tested."""
     _require_beta_bound_params(spec)
-    a, b = spec.alpha, spec.beta
-    edge = b if side is Side.UPPER else a
-    win = edge / (_WINDOW_ETA * (a + b))
-    if x > win:
-        raise WindowError(
-            f"beta rate form requires x <= {'beta' if side is Side.UPPER else 'alpha'}"
-            f"/(eta (alpha+beta)) = {win}")
-    rate, desc = _beta_regime_rate(a, b, x, side)
-    return rate, desc, f"0 < x <= edge/(eta(alpha+beta)), eta={_WINDOW_ETA}"
+    return x <= edge / (_WINDOW_ETA * (spec.alpha + spec.beta))
 
 
-def _binomial_rate(spec: Binomial, side: Side, x: float):
-    k, p = spec.k, spec.p
-    if side is Side.UPPER:
-        win = k * (1.0 - p) / _WINDOW_BETA
-        if x > win or k * p + x < 1.0:
-            raise WindowError(
-                f"binomial upper-tail rate form requires kp + x >= 1 and x <= k(1-p)/beta = {win}")
-        return k * specfun.bernoulli_kl(p, p + x / k), "k h_p(p + x/k)", \
-            f"kp+x >= 1, x <= k(1-p)/{_WINDOW_BETA}"
-    win = k * p / _WINDOW_BETA
-    if x > win or k * (1.0 - p) + x < 1.0:
-        raise WindowError(
-            f"binomial left-tail rate form requires k(1-p) + x >= 1 and x <= kp/beta = {win}")
-    return k * specfun.bernoulli_kl(p, p - x / k), "k h_p(p - x/k)", \
-        f"k(1-p)+x >= 1, x <= kp/{_WINDOW_BETA}"
+def _square_over_k(spec, x: float) -> tuple[float, str]:
+    return x * x / spec.k, "x^2/k"
 
 
-def _poisson_rate(spec: Poisson, side: Side, x: float):
-    lam = spec.lam
-    if side is Side.UPPER:
-        if lam + x < 1.0:
-            raise WindowError("poisson upper-tail rate form requires x + lambda >= 1")
-        return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", "x + lambda >= 1"
-    win = lam / _WINDOW_BETA
-    if x > win:
-        raise WindowError(f"poisson left-tail rate form requires x <= lambda/beta = {win}")
-    return bennett_rate(lam, x / lam), "(x^2/2 lam) psi(x/lam)", f"0 <= x <= lambda/{_WINDOW_BETA}"
+def _poisson_bennett(spec: Poisson, x: float) -> tuple[float, str]:
+    return bennett_rate(spec.lam, x / spec.lam), "(x^2/2 lam) psi(x/lam)"
 
 
-def _irwin_hall_rate(spec: IrwinHall, side: Side, x: float):
-    win = spec.k / 4.0
-    if x > win:
-        raise WindowError(f"irwin-hall rate form requires x <= k/4 = {win}")
-    return x * x / spec.k, "x^2/k", "0 <= x <= k/4"
-
-
-def _rademacher_rate(spec: RademacherSum, side: Side, x: float):
-    win = spec.k / _WINDOW_BETA
-    if x > win:
-        raise WindowError(f"rademacher rate form requires x <= k/beta = {win}")
-    return x * x / spec.k, "x^2/k", f"0 <= x <= k/{_WINDOW_BETA}"
-
-
-# ---------------------------------------------------------------------------
-# one bound record per family
-# ---------------------------------------------------------------------------
+_IRWIN_HALL_RATE = _Rate(_square_over_k, "x <= k/4", lambda s, x: x <= s.k / 4.0)
+_K_OVER_BETA_RATE = _Rate(_square_over_k, f"x <= k/beta with beta = {_WINDOW_BETA:g}",
+                          lambda s, x: x <= s.k / _WINDOW_BETA)
+_NORMAL_RATE = _Rate(lambda s, x: (x * x / (2.0 * s.sigma2), "x^2/(2 sigma^2)"))
 
 
 @dataclass(frozen=True)
 class _Bounds:
-    """The bound catalog of one family; every entry is a function of the spec."""
+    """The bounds of one family; every entry is a function of the spec, and
+    ``bound_catalog`` reads its citations and windows from here."""
 
-    upper: Callable  # (spec, side, x, tier) -> closed-form upper bound
-    rate: Callable  # (spec, side, x) -> rate-form (rate, desc, window)
+    upper: Callable  # (spec, side, x, tier, cite) -> closed-form upper bound citing cite
+    cite: str  # citation of the closed-form upper bound
+    rate: tuple[_Rate, _Rate]  # rate forms of the upper and the lower tail
     special: Callable = _none  # (spec, side, x) -> exact zero/boundary value or None
     sandwich: Callable | None = None  # (spec, side) -> MgfSandwich, if the family has one
     closed_lower: Callable = _none  # (spec, side, x) -> lower bound serving every tier
     numeric: Callable = _engine_lower  # (spec, side, x) -> numeric-certified lower bound
+    other_formulas: tuple = ()  # (side, tier, cite, window) of each other formula served
 
 
 _BOUNDS: dict[type, _Bounds] = {
     Normal: _Bounds(
-        upper=lambda s, side, x, tier: _closed(-x * x / (2.0 * s.sigma2), "gaussian_chernoff"),
-        rate=lambda s, side, x: (
-            x * x / (2.0 * s.sigma2), "x^2/(2 sigma^2)", "x >= 0"),
+        upper=lambda s, side, x, tier, cite: _closed(-x * x / (2.0 * s.sigma2), cite),
+        cite="gaussian_chernoff", rate=(_NORMAL_RATE, _NORMAL_RATE),
         sandwich=lambda s, side: MgfSandwich(0.5, 0.5, 1.0, 1.0, s.sigma2, math.inf)),
     Gamma: _Bounds(
-        upper=_gamma_upper, rate=_gamma_rate,
+        upper=_gamma_upper, cite="sub_gamma",
+        rate=(_Rate(lambda s, x: (min(x, x * x / s.alpha), "min(x, x^2/alpha)")),
+              _Rate(lambda s, x: (x * x / s.alpha, "x^2/alpha"),
+                    f"x <= alpha/beta with beta = {_WINDOW_BETA:g}",
+                    lambda s, x: x <= s.alpha / _WINDOW_BETA)),
         special=_lower_zero_from("gamma_support", lambda s: s.alpha),
         # upper: t^2/2 <= -(t + log(1-t)) <= t^2/(2(1-t)) <= 5 t^2 for t <= 9/10;
         # lower: t^2/3 <= t - log(1+t) <= t^2/2 for t <= 1/2
         sandwich=lambda s, side: _per_side(side, (0.5, 5.0, 1.0, 1.0, s.alpha, 0.9),
                                            (1.0 / 3.0, 0.5, 1.0, 1.0, s.alpha, 0.5)),
         closed_lower=lambda s, side, x: (
-            _gamma_small_shape_lower(s.alpha, x, side) if s.alpha < 1.0 else None)),
+            _gamma_small_shape_lower(s.alpha, x, side) if s.alpha < 1.0 else None),
+        other_formulas=(("both", Tier.CLOSED_FORM, _GAMMA_SMALL_SHAPE, "alpha < 1"),)),
     ChiSq: _Bounds(
-        upper=_chisq_upper, rate=_chisq_rate,
+        upper=_chisq_upper, cite="laurent_massart",
+        rate=(_Rate(lambda s, x: (min(x, x * x / s.k), "min(x, x^2/k)")),
+              _K_OVER_BETA_RATE),
         special=_lower_zero_from("chisq_support", lambda s: s.k),
         sandwich=lambda s, side: _chisq_like_sandwich(float(s.k), side)),
     WeightedChiSq: _Bounds(
-        upper=_weighted_chisq_upper, rate=_weighted_chisq_rate,
+        upper=_weighted_chisq_upper, cite="laurent_massart",
+        rate=(_Rate(lambda s, x: (x * x / s.u.l2_sq, "x^2/|u|_2^2") if x <= s.u.l2_sq / s.u.linf
+                    else (x / s.u.linf, "x/|u|_inf")),
+              _Rate(lambda s, x: (x * x / s.u.l2_sq, "x^2/|u|_2^2"), "x <= |u|_2^2/|u|_inf",
+                    lambda s, x: x <= s.u.l2_sq / s.u.linf)),
         special=_lower_zero_from("weighted_chisq_support", lambda s: mean_shift(s)),
         sandwich=lambda s, side: _chisq_like_sandwich(s.u.l2_sq, side, s.u.linf)),
     NoncentralChiSq: _Bounds(
-        upper=_nc_chisq_upper, rate=_nc_chisq_rate,
+        upper=_nc_chisq_upper, cite="birge_noncentral",
+        rate=(_Rate(lambda s, x: (x * x / (s.k + 2.0 * s.lam), "x^2/(k+2 lambda)")
+                    if x <= s.k + 2.0 * s.lam else (x, "x")),
+              _Rate(lambda s, x: (x * x / (s.k + 2.0 * s.lam), "x^2/(k+2 lambda)"),
+                    f"x <= (k+lambda)/beta with beta = {_WINDOW_BETA:g}",
+                    lambda s, x: x <= (s.k + s.lam) / _WINDOW_BETA)),
         special=_lower_zero_from("noncentral_chisq_support", lambda s: s.k + s.lam),
         sandwich=lambda s, side: _chisq_like_sandwich(s.k + 2.0 * s.lam, side)),
     Beta: _Bounds(
-        upper=_beta_upper, rate=_beta_rate, special=_beta_region, numeric=_beta_split_lower),
+        upper=_beta_upper, cite="beta_subgaussian",
+        rate=(_Rate(lambda s, x: _beta_regime_rate(s.alpha, s.beta, x, Side.UPPER),
+                    f"x <= beta/(eta (alpha+beta)) with eta = {_WINDOW_ETA:g}",
+                    lambda s, x: _beta_in_window(s, s.beta, x)),
+              _Rate(lambda s, x: _beta_regime_rate(s.alpha, s.beta, x, Side.LOWER),
+                    f"x <= alpha/(eta (alpha+beta)) with eta = {_WINDOW_ETA:g}",
+                    lambda s, x: _beta_in_window(s, s.alpha, x))),
+        special=_beta_region, numeric=_beta_split_lower,
+        other_formulas=(("both", Tier.RATE, _BETA_REGIME_RATE, _EVERY_X),)),
     Binomial: _Bounds(
-        upper=_binomial_upper, rate=_binomial_rate, special=_binomial_region,
+        upper=_binomial_upper, cite="kl_chernoff",
+        rate=(_Rate(lambda s, x: (s.k * specfun.bernoulli_kl(s.p, s.p + x / s.k),
+                                  "k h_p(p + x/k)"),
+                    f"kp + x >= 1 and x <= k(1-p)/beta with beta = {_WINDOW_BETA:g}",
+                    lambda s, x: s.k * s.p + x >= 1.0 and x <= s.k * (1.0 - s.p) / _WINDOW_BETA),
+              _Rate(lambda s, x: (s.k * specfun.bernoulli_kl(s.p, s.p - x / s.k),
+                                  "k h_p(p - x/k)"),
+                    f"k(1-p) + x >= 1 and x <= kp/beta with beta = {_WINDOW_BETA:g}",
+                    lambda s, x: s.k * (1.0 - s.p) + x >= 1.0 and x <= s.k * s.p / _WINDOW_BETA)),
+        special=_binomial_region,
         numeric=lambda s, side, x: _binomial_probed_lower(
-            s.k, s.p if side is Side.UPPER else 1.0 - s.p, max(x, 1e-9))),
+            s.k, s.p if side is Side.UPPER else 1.0 - s.p, max(x, 1e-9)),
+        other_formulas=(("upper", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "kp + x < 1"),
+                        ("lower", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "k(1-p) + x < 1"))),
     Poisson: _Bounds(
-        upper=_poisson_upper, rate=_poisson_rate, special=_poisson_region,
+        upper=_poisson_upper, cite="bennett",
+        rate=(_Rate(_poisson_bennett, "x + lambda >= 1", lambda s, x: s.lam + x >= 1.0),
+              _Rate(_poisson_bennett, f"x <= lambda/beta with beta = {_WINDOW_BETA:g}",
+                    lambda s, x: x <= s.lam / _WINDOW_BETA)),
+        special=_poisson_region,
         # upper: t^2/2 <= e^t - 1 - t <= (e/2) t^2 for t <= 1;
         # lower: (e^-1/2) t^2 <= e^-t - 1 + t <= t^2/2 for t <= 1
         sandwich=lambda s, side: _per_side(side, (0.5, 0.5 * math.e, 1.0, 1.0, s.lam, 1.0),
-                                           (0.5 * math.exp(-1.0), 0.5, 1.0, 1.0, s.lam, 1.0))),
+                                           (0.5 * math.exp(-1.0), 0.5, 1.0, 1.0, s.lam, 1.0)),
+        other_formulas=(("upper", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "x + lambda < 1"),)),
     IrwinHall: _Bounds(
-        upper=_irwin_hall_upper, rate=_irwin_hall_rate,
+        upper=_irwin_hall_upper, cite="kl_chernoff_symmetric",
+        rate=(_IRWIN_HALL_RATE, _IRWIN_HALL_RATE),
         special=lambda s, side, x: _zero_result("irwin_hall_support") if x > 0.5 * s.k else None,
         sandwich=lambda s, side: MgfSandwich(_IH_C1_LOW, 0.125, 1.0, 1.0, float(s.k), 1.0)),
     RademacherSum: _Bounds(
-        upper=lambda s, side, x, tier: _closed(-x * x / (4.0 * s.k), "rademacher_subgaussian"),
-        rate=_rademacher_rate,
+        upper=lambda s, side, x, tier, cite: _closed(-x * x / (4.0 * s.k), cite),
+        cite="rademacher_subgaussian", rate=(_K_OVER_BETA_RATE, _K_OVER_BETA_RATE),
         special=lambda s, side, x: _zero_result("rademacher_support") if x > s.k else None,
         sandwich=lambda s, side: MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(s.k), 1.0),
         # X = 2B - k: right tail at x is Binomial(k, 1/2) right tail at x/2
@@ -586,13 +554,18 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
     region = entry.special(spec, side, x)
     if region is not None and region.value == 0.0:
         return region
-    return entry.upper(spec, side, x, tier)
+    return entry.upper(spec, side, x, tier, entry.cite)
 
 
 def rate_info(spec: DistSpec, side: Side, x: float) -> tuple[float, str, str]:
-    """(rate value, rate description, window description) for the rate-form
-    lower bound; raises WindowError outside the stated validity window."""
-    return _bounds(spec).rate(spec, Side(side), x)
+    """(rate value, rate description, window) of the rate-form lower bound;
+    raises WindowError, naming the window, outside it."""
+    side = Side(side)
+    form = _bounds(spec).rate[side is Side.LOWER]
+    if not form.ok(spec, x):
+        raise WindowError(f"{family_name(spec)} {side.value}-tail rate form requires "
+                          f"{form.window}, got x = {x}")
+    return (*form.of(spec, x), form.window)
 
 
 def lower_bound(spec: DistSpec, side: Side, x: float,
@@ -616,7 +589,7 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
     if tier.tier is Tier.RATE:
         rate, desc, window = rate_info(spec, side, x)
         lv = math.log(tier.c_default) - tier.C_default * rate
-        return result_from_log(lv, "rate_form", False, "rate_form",
+        return result_from_log(lv, "rate_form", False, Tier.RATE.value,
                                {"rate": desc, "window": window,
                                 "c": tier.c_default, "C": tier.C_default})
 
@@ -686,45 +659,18 @@ def poisson_limit_check(lam: float, x: float, n: float) -> float:
 # exported catalog
 # ---------------------------------------------------------------------------
 
-_CATALOG = [
-    {"family": "gamma", "side": "upper", "tier": "closed_form_certified",
-     "formula_cite": "sub_gamma", "window": {"x": ">= 0"}},
-    {"family": "gamma", "side": "lower", "tier": "closed_form_certified",
-     "formula_cite": "sub_gamma", "window": {"x": ">= 0"}},
-    {"family": "gamma", "side": "upper", "tier": "rate_form",
-     "formula_cite": "gamma_matching_rate", "window": {"x": ">= 0", "alpha": ">= 1"}},
-    {"family": "gamma", "side": "lower", "tier": "rate_form",
-     "formula_cite": "gamma_matching_rate", "window": {"x": "<= alpha/beta"}},
-    {"family": "gamma", "side": "both", "tier": "closed_form_certified",
-     "formula_cite": "gamma_small_shape", "window": {"alpha": "< 1"}},
-    {"family": "chisq", "side": "both", "tier": "rate_form",
-     "formula_cite": "chisq_matching_rate", "window": {"lower": "x <= k/beta"}},
-    {"family": "weighted_chisq", "side": "both", "tier": "rate_form",
-     "formula_cite": "weighted_chisq_matching_rate",
-     "window": {"lower": "x <= |u|_2^2/|u|_inf"}},
-    {"family": "noncentral_chisq", "side": "both", "tier": "rate_form",
-     "formula_cite": "noncentral_chisq_matching_rate",
-     "window": {"lower": "x <= (k+lambda)/beta"}},
-    {"family": "beta", "side": "both", "tier": "rate_form",
-     "formula_cite": "beta_regime_rate", "window": {"x": "<= edge/(eta(alpha+beta))"}},
-    {"family": "binomial", "side": "both", "tier": "rate_form",
-     "formula_cite": "binomial_kl_rate",
-     "window": {"upper": "kp+x >= 1, x <= k(1-p)/beta",
-                "lower": "k(1-p)+x >= 1, x <= kp/beta"}},
-    {"family": "binomial", "side": "both", "tier": "closed_form_certified",
-     "formula_cite": "binomial_boundary", "window": {"upper": "kp+x < 1", "lower": "k(1-p)+x < 1"}},
-    {"family": "poisson", "side": "upper", "tier": "closed_form_certified",
-     "formula_cite": "poisson_boundary", "window": {"x": "x + lambda < 1"}},
-    {"family": "poisson", "side": "both", "tier": "rate_form",
-     "formula_cite": "poisson_bennett_rate",
-     "window": {"upper": "x + lambda >= 1", "lower": "x <= lambda/beta"}},
-    {"family": "irwin_hall", "side": "both", "tier": "rate_form",
-     "formula_cite": "irwin_hall_rate", "window": {"x": "<= k/4"}},
-    {"family": "rademacher", "side": "both", "tier": "rate_form",
-     "formula_cite": "rademacher_rate", "window": {"x": "<= k/beta"}},
-]
-
 
 def bound_catalog() -> list[dict]:
-    """Machine-readable catalog of the served bound formulas and windows."""
-    return [dict(row) for row in _CATALOG]
+    """Machine-readable catalog of the served bound formulas and their windows,
+    read from the family records: per family, the closed-form upper bound, the
+    rate form of each tail and any other formula the record lists."""
+    rows = []
+    for cls, entry in _BOUNDS.items():
+        formulas = [("both", Tier.CLOSED_FORM, entry.cite, _EVERY_X),
+                    *((side.value, Tier.RATE, Tier.RATE.value, form.window)  # cites its tier
+                      for side, form in zip(Side, entry.rate)),
+                    *entry.other_formulas]
+        rows += [{"family": _FAMILY[cls].name, "side": side, "tier": tier.value,
+                  "formula_cite": cite, "window": window}
+                 for side, tier, cite, window in formulas]
+    return rows

@@ -206,7 +206,7 @@ def _nc_chisq_last_index(lam_half: float) -> int:
 def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, float, ErrorModel]:
     k, lam = spec.k, spec.lam
     if lam == 0.0:
-        v, lv = _chisq_tail(k, side, x)
+        v, lv = _gamma_tail(0.5 * k, side, 0.5 * x)
         return v, lv, ExactError(abs_tol=1e-12)
     z = (k + lam) + x if side is Side.UPPER else (k + lam) - x
     if side is Side.LOWER and z <= 0.0:
@@ -227,28 +227,19 @@ def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, 
     return min(1.0, value), min(0.0, log_value), TruncatedError(abs_tol=1e-12)
 
 
-def _chisq_tail(k: int, side: Side, x: float) -> tuple[float, float]:
-    if side is Side.UPPER:
-        return specfun.inc_gamma(0.5 * k, 0.5 * (k + x))[2:]
-    if x >= k:
-        return 0.0, -math.inf
-    return specfun.inc_gamma(0.5 * k, 0.5 * (k - x))[:2]
-
-
 def _normal_tail(spec: Normal, side: Side, x: float):
     z = x / math.sqrt(spec.sigma2)
     return specfun.normal_tail(z), specfun.log_normal_tail(z), ExactError(1e-14)
 
 
-def _gamma_tail(spec: Gamma, side: Side, x: float):
-    a = spec.alpha
+def _gamma_tail(a: float, side: Side, x: float) -> tuple[float, float]:
+    """Tail of Gamma(a); chi-square with k degrees of freedom is Gamma(k/2) at
+    half the threshold, and halving is exact."""
     if side is Side.UPPER:
-        v, lv = specfun.inc_gamma(a, a + x)[2:]
-    elif x >= a:
-        v, lv = 0.0, -math.inf
-    else:
-        v, lv = specfun.inc_gamma(a, a - x)[:2]
-    return v, lv, ExactError(1e-12)
+        return specfun.inc_gamma(a, a + x)[2:]
+    if x >= a:
+        return 0.0, -math.inf
+    return specfun.inc_gamma(a, a - x)[:2]
 
 
 def _beta_tail(spec: Beta, side: Side, x: float):
@@ -285,8 +276,9 @@ class _Oracle:
 
 _ORACLES: dict[type, _Oracle] = {
     Normal: _Oracle(_normal_tail),
-    Gamma: _Oracle(_gamma_tail),
-    ChiSq: _Oracle(lambda s, side, x: (*_chisq_tail(s.k, side, x), ExactError(1e-12))),
+    Gamma: _Oracle(lambda s, side, x: (*_gamma_tail(s.alpha, side, x), ExactError(1e-12))),
+    ChiSq: _Oracle(lambda s, side, x: (*_gamma_tail(0.5 * s.k, side, 0.5 * x),
+                                       ExactError(1e-12))),
     Beta: _Oracle(_beta_tail),
     Binomial: _Oracle(lambda s, side, x: (*_binom_tail(s, side, x), ExactError(1e-14))),
     Poisson: _Oracle(lambda s, side, x: (*_poisson_tail(s.lam, side, x), ExactError(1e-12))),

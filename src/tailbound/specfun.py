@@ -183,10 +183,12 @@ def inc_gamma(a: float, y: float) -> tuple[float, float, float, float]:
     try:
         if y < a + 1.0:
             log_front, total = _lower_series(a, y)
-            p = math.exp(log_front) * total
+            # the series overshoots 1 by rounding at tiny shapes
+            p = min(1.0, math.exp(log_front) * total)
+            log_p = min(0.0, log_front + math.log(total))
             if a < 1e-2:  # Q = 1 - P would cancel
-                return (p, log_front + math.log(total), *_small_shape_upper(a, y))
-            return p, log_front + math.log(total), 1.0 - p, _log1m(p)
+                return (p, log_p, *_small_shape_upper(a, y))
+            return p, log_p, 1.0 - p, _log1m(p)
         log_front, h = _upper_cf(a, y)
         q = math.exp(log_front) * h
     except OverflowError:  # the front cancelled catastrophically at a huge shape

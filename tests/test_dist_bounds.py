@@ -12,7 +12,7 @@ from tailbound.dist_bounds import (
 )
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson,
-    RademacherSum, Side, WeightedChiSq, WeightVector, log_mgf,
+    RademacherSum, Side, WeightedChiSq, WeightVector, log_mgf, support_extent,
 )
 from tailbound.errors import DomainError, WindowError
 from tailbound.oracle import exact_tail
@@ -125,6 +125,25 @@ def test_binomial_left_boundary():
     assert r.certified
     assert abs(r.value - (1.0 - 0.97 ** 10)) < 1e-12
     assert r.value == exact_tail(spec, Side.LOWER, x).value
+
+
+def test_binomial_bounds_hold_at_the_last_support_point():
+    # k - kp can exceed k(1-p) by an ulp; the last support point must not be
+    # called a zero tail.  The oracle's lower side evaluates the pmf at the
+    # rounded complement 1 - p, which moves log P by up to ~1e-13 relative for
+    # p >= 0.001, so log U is compared with that slack.
+    rng = np.random.default_rng(1)
+    n_past_product = 0
+    for _ in range(600):
+        spec = Binomial(int(rng.integers(1, 401)), float(rng.uniform(0.001, 0.999)))
+        n_past_product += spec.k - spec.k * spec.p > spec.k * (1.0 - spec.p)
+        for side in Side:
+            x = support_extent(spec, side)
+            exact = exact_tail(spec, side, x)
+            upper, lower = upper_bound(spec, side, x), lower_bound(spec, side, x)
+            assert upper.log_value >= exact.log_value - 1e-12 * abs(exact.log_value), (spec, side)
+            assert lower.value <= exact.value, (spec, side)
+    assert n_past_product > 0  # the ulp case was drawn
 
 
 def test_gamma_small_shape_bracket_example():

@@ -6,19 +6,23 @@ family missing from any of them fails the guard below.
 
 import json
 import math
+import re
 import typing
 
 import pytest
 
 from tailbound import harness, oracle, specfun
-from tailbound.dist_bounds import lower_bound, upper_bound
+from tailbound.dist_bounds import (
+    _WINDOW_BETA, _WINDOW_ETA, CLOSED_FORM, RATE, bound_catalog, lower_bound, rate_info,
+    upper_bound,
+)
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq, Normal,
     Poisson, RademacherSum, RngStream, Side, WeightedChiSq, WeightVector,
     log_mgf, mean_shift, sample, spec_from_json, spec_to_json, support_extent,
     variance,
 )
-from tailbound.errors import DomainError, TruncationError, UnsupportedFamilyError
+from tailbound.errors import DomainError, TruncationError, UnsupportedFamilyError, WindowError
 from tailbound.oracle import exact_tail
 
 EXAMPLES = {
@@ -73,6 +77,73 @@ def test_monte_carlo_and_discrete_families_read_the_records():
             assert xs == sorted(xs) and xs[-1] > 0.0
     with pytest.raises(DomainError):
         harness._discrete_support_x(EXAMPLES[Gamma], Side.UPPER)
+
+
+# the bound catalog states every served formula ------------------------------
+
+# small parameters that reach the closed-form lower certificates
+_CERTIFICATE_SPECS = (Gamma(0.5), Binomial(3, 0.1), Binomial(4, 0.9), Poisson(0.4))
+
+
+def test_catalog_names_every_citation_and_window_served():
+    catalog = bound_catalog()
+    cites = {(row["family"], row["formula_cite"]) for row in catalog}
+    windows = {(row["family"], row["side"], row["window"]) for row in catalog
+               if row["tier"] == "rate_form"}
+    methods = set()
+    for spec in (*EXAMPLES.values(), *_CERTIFICATE_SPECS):
+        family = spec_to_json(spec)["family"]
+        sd = math.sqrt(variance(spec))
+        for side in Side:
+            for x in (0.0, 0.1 * sd, 0.25 * sd, sd, 3.0 * sd):
+                if x >= support_extent(spec, side):
+                    continue  # zero tails are support facts, not catalogued formulas
+                served = [upper_bound(spec, side, x), upper_bound(spec, side, x, tier=RATE)]
+                for tier in (CLOSED_FORM, RATE):
+                    try:
+                        served.append(lower_bound(spec, side, x, tier=tier))
+                    except WindowError:
+                        pass
+                for bound in served:
+                    methods.add(bound.method)
+                    assert (family, bound.cite) in cites, (spec, side, x, bound.cite)
+                try:
+                    window = rate_info(spec, side, x)[2]
+                except WindowError:
+                    continue
+                assert (family, side.value, window) in windows, (spec, side, window)
+    assert methods == {"closed_form", "boundary_exact", "rate_form"}
+
+
+# (family, side) -> the last threshold inside the rate form's window
+_WINDOW_ENDS = {
+    (Gamma, Side.LOWER): lambda s: s.alpha / _WINDOW_BETA,
+    (ChiSq, Side.LOWER): lambda s: s.k / _WINDOW_BETA,
+    (WeightedChiSq, Side.LOWER): lambda s: s.u.l2_sq / s.u.linf,
+    (NoncentralChiSq, Side.LOWER): lambda s: (s.k + s.lam) / _WINDOW_BETA,
+    (Beta, Side.UPPER): lambda s: s.beta / (_WINDOW_ETA * (s.alpha + s.beta)),
+    (Beta, Side.LOWER): lambda s: s.alpha / (_WINDOW_ETA * (s.alpha + s.beta)),
+    (Binomial, Side.UPPER): lambda s: s.k * (1.0 - s.p) / _WINDOW_BETA,
+    (Binomial, Side.LOWER): lambda s: s.k * s.p / _WINDOW_BETA,
+    (Poisson, Side.LOWER): lambda s: s.lam / _WINDOW_BETA,
+    (IrwinHall, Side.UPPER): lambda s: s.k / 4.0,
+    (IrwinHall, Side.LOWER): lambda s: s.k / 4.0,
+    (RademacherSum, Side.UPPER): lambda s: s.k / _WINDOW_BETA,
+    (RademacherSum, Side.LOWER): lambda s: s.k / _WINDOW_BETA,
+}
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda c: c.__name__)
+def test_rate_window_ends_where_its_text_says(cls):
+    spec = EXAMPLES[cls]
+    for side in Side:
+        end = _WINDOW_ENDS.get((cls, side))
+        if end is None:  # no finite end: every threshold is inside
+            assert rate_info(spec, side, 1e6)[2] == rate_info(spec, side, 0.0)[2]
+            continue
+        window = rate_info(spec, side, end(spec))[2]
+        with pytest.raises(WindowError, match=re.escape(window)):
+            rate_info(spec, side, math.nextafter(end(spec), math.inf))
 
 
 # parameter validation -------------------------------------------------------

@@ -231,3 +231,26 @@ def test_weighted_chisq_mc_oracle():
     # crude analytic check via independent simulation
     mc2 = mc_tail(spec, Side.UPPER, 0.5, n=100_000, seed=99)
     assert abs(est.value - mc2.value) < 0.01
+
+
+def _ref_chisq_tail(k, side, x):
+    """The chi-square oracle before it became the gamma oracle at half scale."""
+    if side is Side.UPPER:
+        return sf.inc_gamma(0.5 * k, 0.5 * (k + x))[2:]
+    if x >= k:
+        return 0.0, -math.inf
+    return sf.inc_gamma(0.5 * k, 0.5 * (k - x))[:2]
+
+
+def test_chisq_is_the_gamma_oracle_at_half_scale_bit_for_bit():
+    rng = np.random.default_rng(40)
+    for _ in range(400):
+        k = int(rng.choice([1, 2, 3, 5, 10, 37, 100, 1000, 4000]))
+        sd = math.sqrt(2.0 * k)
+        for x in (float(rng.uniform(0.0, 6.0)) * sd, float(rng.uniform(0.0, k)), float(k),
+                  math.nextafter(float(k), 0.0)):
+            for side in Side:
+                want = _ref_chisq_tail(k, side, x)
+                for spec in (ChiSq(k), NoncentralChiSq(k, 0.0)):
+                    got = exact_tail(spec, side, x)
+                    assert (got.value, got.log_value) == want, (spec, side, x)

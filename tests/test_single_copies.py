@@ -3,7 +3,9 @@
 The shared helpers (``specfun._grid_argmax``, ``engine_upper._no_certificate``,
 ``oracle._mc_estimate``) are checked on their own, the searches built on them
 against test-side copies of the hand-written loops they replaced, and an AST
-guard fails when a hand-written copy comes back anywhere in the package.
+guard fails when a hand-written copy comes back anywhere in the package. The
+same guard keeps rate-window errors in ``dist_bounds.rate_info`` and catalog
+rows in ``dist_bounds.bound_catalog``, which reads them from the records.
 """
 
 import ast
@@ -245,6 +247,9 @@ _ONE_PLACE = {
     "no-certificate BoundResult": {"_no_certificate", "_zero_result"},
     "clopper_pearson": {"_mc_estimate"},
     "_golden_argmax": {"_grid_argmax"},
+    # rate_info tests every rate-form window; the other two refuse a closed-form
+    # tier with no certificate and a fitting grid point whose exact tail is 0
+    "WindowError": {"rate_info", "lower_bound", "fit_rate_constants"},
 }
 
 
@@ -263,22 +268,45 @@ def _kind(call):
     return name if name in _ONE_PLACE else None
 
 
-def _guarded_calls(node, func=None):
-    """(kind, innermost enclosing function) of every guarded call below node."""
+def _nodes(node, func=None):
+    """Every node below node, with the name of its innermost enclosing function."""
     for child in ast.iter_child_nodes(node):
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-        if isinstance(child, ast.Call) and _kind(child):
-            yield _kind(child), inner
-        yield from _guarded_calls(child, inner)
+        yield child, inner
+        yield from _nodes(child, inner)
+
+
+def _package_nodes():
+    for path in sorted(_SRC.glob("*.py")):
+        for node, func in _nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node, func
 
 
 def test_each_helper_is_the_one_place_for_its_job():
     seen = {kind: set() for kind in _ONE_PLACE}
     strays = []
-    for path in sorted(_SRC.glob("*.py")):
-        for kind, func in _guarded_calls(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, node, func in _package_nodes():
+        kind = _kind(node) if isinstance(node, ast.Call) else None
+        if kind:
             seen[kind].add(func)
             if func not in _ONE_PLACE[kind]:
-                strays.append(f"{path.name}: {kind} in {func}")
+                strays.append(f"{name}: {kind} in {func}")
     assert strays == []
     assert all(seen[kind] for kind in _ONE_PLACE)  # the guard is not vacuous
+
+
+def _is_catalog_row(node):
+    return isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and key.value == "formula_cite" for key in node.keys)
+
+
+def test_catalog_rows_are_built_only_from_the_records():
+    builders, lists = set(), []
+    for name, node, func in _package_nodes():
+        if _is_catalog_row(node):
+            builders.add(func)
+        displays = (ast.List, ast.Tuple, ast.Set)
+        if isinstance(node, displays) and any(map(_is_catalog_row, node.elts)):
+            lists.append(f"{name}: catalog rows written out in {func or 'module scope'}")
+    assert lists == []
+    assert builders == {"bound_catalog"}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -364,3 +365,16 @@ def test_gamma_tail_for_tiny_shapes(a, x):
     want = special.gammaincc(a, a + x)
     assert abs(est.value - want) <= 1e-13 * want
     assert abs(est.log_value - math.log(want)) <= 1e-13
+
+
+def test_inc_gamma_lower_for_tiny_shapes_stays_a_probability():
+    # the series overshoots 1 by about 1e-14 at tiny shapes; scipy's gammainc
+    # overshoots too, so the reference is capped at 1 like the true value
+    special = pytest.importorskip("scipy.special")
+    for a in np.geomspace(sys.float_info.min, 9.9e-3, 43):
+        for y in (1e-3, 0.5, 0.99):
+            p, log_p = sf.inc_gamma(float(a), y)[:2]
+            assert 0.0 <= p <= 1.0 and log_p <= 0.0, (a, y)
+            assert abs(p - min(1.0, special.gammainc(a, y))) <= 5e-14, (a, y)
+    from tailbound import Gamma, Side, exact_tail
+    assert exact_tail(Gamma(1e-300), Side.LOWER, 0.0).value == 1.0
