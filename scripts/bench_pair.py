@@ -9,10 +9,12 @@ first in even pairs and change first in odd pairs, so drift of the machine
 falls on both sides alike.  The output JSON gives, for each end-to-end metric,
 the medians and quartiles of both sides, the change's wins over the pairs, and
 whether the change is better in the median by more than the base's
-interquartile range.  It adds the traced ``quantile-map --seed 42`` counts and
-the wall time of ``tailbound verify --seed 42`` on both sides (alternating, 10
-runs each), with a check that both reports have the same bytes apart from
-``timestamp``.
+interquartile range.  For every workload it also runs each side once at
+``--seed 42`` with ``--rows-out`` and counts the change's rows that are looser,
+tighter, unchanged or missing against the base's, with ``perfbench/rowdiff.py``.
+It adds the traced ``quantile-map --seed 42`` counts and the wall time of
+``tailbound verify --seed 42`` on both sides (alternating, 10 runs each), with a
+check that both reports have the same bytes apart from ``timestamp``.
 
 Run from the repository root; the runs are serial, one process at a time.
 """
@@ -34,6 +36,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from rowdiff import load, looser_rows  # noqa: E402
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 PAIRS = 10
 SECONDS = BENCHMARK["run_seconds"]
@@ -99,6 +103,24 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def row_diff(sides: dict, workload: str, tmp: Path) -> dict:
+    """Counts of the change's seed-42 rows against the base's, matched on (spec, side, x)."""
+    rows = {}
+    for name, side in sides.items():
+        path = tmp / f"rows-{workload}-{name}.jsonl"
+        run_json(side, "--workload", workload, "--seed", "42", "--seconds", "1",
+                 "--trace", "0", "--rows-out", str(path))
+        rows[name] = load(path)
+    base, change = rows["base"], rows["change"]
+    looser, missing = looser_rows(base, change)
+    unchanged = sum(1 for key, b in base.items() if key in change
+                    and (change[key]["lower_log"], change[key]["upper_log"])
+                    == (b["lower_log"], b["upper_log"]))
+    return {"looser": len(looser), "missing": len(missing), "unchanged": unchanged,
+            "tighter": len(base) - len(looser) - len(missing) - unchanged,
+            "base_rows": len(base)}
+
+
 def without_timestamp(path: Path) -> str:
     return re.sub(r'"timestamp":"[^"]*"', "", path.read_text(encoding="utf-8"))
 
@@ -139,6 +161,7 @@ def main(argv=None) -> int:
                 "metrics": metrics,
                 "failed": {n: sum(r["failed"] for r in runs[n]) for n in runs},
                 "attempted": {n: sum(r["attempted"] for r in runs[n]) for n in runs},
+                "rows_seed42": row_diff(sides, workload, tmp),
             }
 
         traced = {name: run_json(side, "--workload", "quantile-map", "--seed", "42",

@@ -345,20 +345,20 @@ def _binomial_probed_lower(k: int, p: float, x: float) -> BoundResult:
 
 
 def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
-    """P(Z >= mu + x) >= P(R1 >= a + y) P(R2 <= b - y) for gammas R1, R2, y >= (a+b)x."""
+    """P(Z >= mu + x) >= P(R1 >= a + y) P(R2 <= b - y) for gammas R1, R2, y >= (a+b)x.
+
+    Both factors fall as y grows, so the least feasible split y0 = (a+b)x is
+    the best; it needs y0 < b.
+    """
     _require_beta_bound_params(spec)
     a, b = (spec.alpha, spec.beta) if side is Side.UPPER else (spec.beta, spec.alpha)
     y0 = (a + b) * x
-    best = (-math.inf, y0)
-    # the grid ends at y0 + 0.999 (b - y0), so b - y >= 0 at every point
-    for y in np.linspace(y0, y0 + (b - y0) * 0.999, 80) if y0 < b else ():
-        lv = specfun.log_reg_inc_gamma_upper(a, a + y) + specfun.log_reg_inc_gamma_lower(b, b - y)
-        if lv > best[0]:
-            best = (lv, float(y))
-    if best[0] == -math.inf:
+    lv = -math.inf
+    if y0 < b:
+        lv = specfun.log_reg_inc_gamma_upper(a, a + y0) + specfun.log_reg_inc_gamma_lower(b, b - y0)
+    if not lv > -math.inf:
         return _no_certificate("beta_gamma_split", "beta_gamma_split", {"feasible": False})
-    return result_from_log(best[0], "beta_gamma_split", True, "beta_gamma_split",
-                           {"y": best[1]})
+    return result_from_log(lv, "beta_gamma_split", True, "beta_gamma_split", {"y": y0})
 
 
 def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
@@ -560,6 +560,8 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
 def rate_info(spec: DistSpec, side: Side, x: float) -> tuple[float, str, str]:
     """(rate value, rate description, window) of the rate-form lower bound;
     raises WindowError, naming the window, outside it."""
+    if x < 0.0 or math.isnan(x):
+        raise DomainError(f"threshold must be >= 0, got {x}")
     side = Side(side)
     form = _bounds(spec).rate[side is Side.LOWER]
     if not form.ok(spec, x):

@@ -297,7 +297,7 @@ def log_mgf(spec: DistSpec) -> LogMgfSpec:
         out = cgf(spec, np.asarray(t, dtype=float))
         return out if out.ndim else float(out)
 
-    return LogMgfSpec(ev, RealInterval(-math.inf, fam.cgf_sup(spec), False, False))
+    return LogMgfSpec(ev, RealInterval(-math.inf, fam.cgf_sup(spec)))
 
 
 def _gamma_cgf(spec: Gamma, t: np.ndarray):

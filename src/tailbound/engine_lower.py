@@ -145,14 +145,14 @@ def pz_paper_bound(s: MgfSandwich, x: float, c_small_sq: float | None = None) ->
                            {"c": pc.c, "C": pc.C, "x_max": pc.x_max})
 
 
-def evaluate_tail_lower(tail: TailLowerFn, x: float, certified: bool = True) -> BoundResult:
+def evaluate_tail_lower(tail: TailLowerFn, x: float) -> BoundResult:
     """Evaluate a composed tail lower bound at one point as a BoundResult."""
     if x < tail.valid_from:
         return _no_certificate("compose", "sum_composition",
                                {"valid_from": tail.valid_from, "feasible": False})
     v = max(0.0, float(tail.f(x)))
     lv = math.log(v) if v > 0.0 else -math.inf
-    return BoundResult(min(1.0, v), min(0.0, lv), "compose", certified and v > 0.0,
+    return BoundResult(min(1.0, v), min(0.0, lv), "compose", v > 0.0,
                        "sum_composition", dict(tail.params))
 
 
@@ -190,7 +190,9 @@ def reverse_chernoff_objective(
 _RC_T_POINTS = 40
 _RC_THETAS = np.arange(1.05, 4.0001, 0.05)
 _RC_DELTAS = 1.0 + np.geomspace(0.02, 9.0, 20)
-_RC_TP_FRACS = np.array([1.0, 0.5, 0.0])  # t' = t is the fast path
+# t' = 0 is left out: its third term e^{-(t d - t') x} phi(t - t') equals the
+# first, phi(t) e^{-t d x}, so the bracket is -phi(t theta)/phi(t) e^{...} <= 0
+_RC_TP_FRACS = np.array([1.0, 0.5])
 
 
 def _rc_grid_best(logphi, sup: float, x: float, t_cap: float):
@@ -263,12 +265,7 @@ def _nelder_mead(fun, x0: np.ndarray) -> np.ndarray:
     return simplex[best]
 
 
-def reverse_chernoff_lower(
-    mgf: LogMgfSpec,
-    x: float,
-    side: Side = Side.UPPER,
-    init: ReverseChernoffParams | None = None,
-) -> BoundResult:
+def reverse_chernoff_lower(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundResult:
     """Best reverse Chernoff certificate found by grid sweep plus refinement.
 
     Every positive value is a certified lower bound because the inequality
@@ -290,22 +287,11 @@ def reverse_chernoff_lower(
         t_cap = max(4.0 * t_star, 2.0)
 
     found = _rc_grid_best(logphi, sup, x, t_cap)
-    candidates = []
-    if found is not None:
-        candidates.append(found)
-    if init is not None:
-        frac = 0.0 if init.t == 0 else init.t_prime / init.t
-        try:
-            v = reverse_chernoff_objective(mgf, x, init, side)
-            if v > 0.0:
-                candidates.append((math.log(v), init.t, init.theta, init.delta, frac))
-        except DomainError:
-            pass
-    if not candidates:
+    if found is None:
         return _no_certificate("reverse_chernoff", "reverse_chernoff",
                                {"feasible": False, "side": side.value})
 
-    best_log, t0, th0, d0, f0 = max(candidates, key=lambda c: c[0])
+    best_log, t0, th0, d0, f0 = found
 
     def point(z: np.ndarray) -> tuple[float, float, float]:
         return math.exp(z[0]), 1.0 + math.exp(z[1]), 1.0 + math.exp(z[2])

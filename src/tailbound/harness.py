@@ -20,7 +20,7 @@ from .dist_bounds import NUMERIC, BoundTier, lower_bound, upper_bound
 from .dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq,
     Poisson, RademacherSum, RngStream, Side, WeightedChiSq, WeightVector,
-    _family, sample, spec_from_json, spec_to_json, support_extent, variance,
+    _family, sample, spec_to_json, support_extent, variance,
 )
 from .engine_upper import BoundResult
 from .errors import DomainError, WindowError
@@ -277,19 +277,3 @@ def run_grid(
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
-
-def report_from_json(obj: dict) -> dict:
-    """Round-trip helper: parse a serialized report and re-serialize its rows.
-
-    Returns the parsed dict after validating the row schema keys.
-    """
-    required = {"rows", "summary", "seed", "tool_version", "timestamp"}
-    if not required.issubset(obj):
-        raise DomainError(f"report missing keys: {sorted(required - set(obj))}")
-    for row in obj["rows"]:
-        spec_from_json(row["spec"])
-        for key in ("side", "x", "exact", "upper", "lower", "pass",
-                    "slack_upper", "slack_lower"):
-            if key not in row:
-                raise DomainError(f"report row missing key {key!r}")
-    return obj

@@ -40,32 +40,14 @@ _LGAMMA1P_COEFFS = (-0.5772156649015329, 0.8224670334241132, -0.4006856343865314
 
 @dataclass(frozen=True)
 class RealInterval:
-    """An extended-real interval, used for moment generating function domains."""
+    """An open extended-real interval (lo, hi), used for moment generating function domains."""
 
     lo: float
     hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise DomainError(f"interval lower end {self.lo} exceeds upper end {self.hi}")
-
-    def contains(self, t: float) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.lo_closed:
-            return False
-        if t == self.hi and not self.hi_closed:
-            return False
-        return True
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0.0 or math.isnan(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _lower_series(a: float, y: float) -> tuple[float, float]:
@@ -339,11 +321,6 @@ def bennett_psi(t: float) -> float:
             acc = acc * t + c
         return acc
     return ((1.0 + t) * math.log1p(t) - t) / (0.5 * t * t)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x)."""
-    return 0.5 * math.erfc(-x * _INV_SQRT2)
 
 
 def normal_tail(x: float) -> float:

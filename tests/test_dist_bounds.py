@@ -233,6 +233,16 @@ def test_rate_window_names_condition():
         rate_info(Binomial(20, 0.5), Side.UPPER, 6.0)
 
 
+@pytest.mark.parametrize("spec,side,x", [
+    (Normal(1.0), Side.UPPER, -1.0),
+    (Gamma(2.5), Side.LOWER, -1.0),
+    (Gamma(2.5), Side.UPPER, math.nan),
+], ids=["normal-negative", "gamma-lower-negative", "gamma-nan"])
+def test_rate_info_refuses_a_bad_threshold(spec, side, x):
+    with pytest.raises(DomainError, match="threshold must be >= 0"):
+        rate_info(spec, side, x)
+
+
 def test_rate_form_constants_flow_through():
     tier = BoundTier(Tier.RATE, c_default=0.25, C_default=2.0)
     r = lower_bound(ChiSq(4), Side.UPPER, 1.0, tier=tier)

@@ -154,15 +154,6 @@ def test_rc_lower_side_poisson():
     assert 0.0 < r.value <= exact
 
 
-def test_rc_init_seed_is_used():
-    mgf = log_mgf(Normal(1.0))
-    base = reverse_chernoff_lower(mgf, 2.0)
-    seeded = reverse_chernoff_lower(
-        mgf, 2.0, init=ReverseChernoffParams(base.params_used["t"], base.params_used["t_prime"],
-                                             base.params_used["theta"], base.params_used["delta"]))
-    assert seeded.value >= base.value * 0.99
-
-
 def test_rc_requires_positive_x_and_domain():
     with pytest.raises(DomainError):
         reverse_chernoff_lower(log_mgf(Normal(1.0)), 0.0)

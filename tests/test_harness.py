@@ -6,11 +6,12 @@ import pytest
 from tailbound.dist_bounds import NUMERIC, RATE, lower_bound
 from tailbound.dist_model import (
     Binomial, ChiSq, Gamma, Normal, Poisson, Side, WeightedChiSq, WeightVector,
+    spec_from_json,
 )
 from tailbound.errors import DomainError
 from tailbound.harness import (
     AbsoluteGrid, DEFAULT_FAMILIES, DEFAULT_QUANTILES,
-    bisect_quantile, report_from_json, run_grid,
+    bisect_quantile, run_grid,
 )
 from tailbound.oracle import exact_tail
 
@@ -103,8 +104,10 @@ def test_report_schema_and_round_trip():
                    x_policy=AbsoluteGrid((0.0, 2.0)), seed=5)
     text = rep.dumps()
     obj = json.loads(text)
-    report_from_json(obj)
     assert json.dumps(obj, sort_keys=True, separators=(",", ":")) == text
+    assert set(obj) >= {"rows", "summary", "seed", "tool_version", "timestamp"}
+    for r in obj["rows"]:
+        spec_from_json(r["spec"])
     row = obj["rows"][0]
     assert set(row) >= {"spec", "side", "x", "exact", "upper", "lower", "pass",
                         "slack_upper", "slack_lower"}

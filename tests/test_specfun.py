@@ -16,27 +16,6 @@ def simpson(f, a, b, n=20001):
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
 
 
-# log_gamma ------------------------------------------------------------------
-
-def test_log_gamma_at_one():
-    assert sf.log_gamma(1.0) == 0.0
-
-
-def test_log_gamma_half_is_log_sqrt_pi():
-    assert abs(sf.log_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-13
-
-
-def test_log_gamma_ten_is_log_9_factorial():
-    assert abs(sf.log_gamma(10.0) - math.log(362880)) < 1e-13 * math.log(362880)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        sf.log_gamma(0.0)
-    with pytest.raises(DomainError):
-        sf.log_gamma(-2.0)
-
-
 # incomplete gamma -----------------------------------------------------------
 
 def test_inc_gamma_exponential_tail():
@@ -201,10 +180,6 @@ def test_bennett_domain():
 
 
 # normal ---------------------------------------------------------------------
-
-def test_normal_cdf_zero():
-    assert sf.normal_cdf(0.0) == 0.5
-
 
 def test_normal_tail_at_one():
     assert abs(sf.normal_tail(1.0) - 0.15865525393145707) < 1e-14
