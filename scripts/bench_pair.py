@@ -11,7 +11,8 @@ the medians and quartiles of both sides, the change's wins over the pairs, and
 whether the change is better in the median by more than the base's
 interquartile range.  For every workload it also runs each side once at
 ``--seed 42`` with ``--rows-out`` and counts the change's rows that are looser,
-tighter, unchanged or missing against the base's, with ``perfbench/rowdiff.py``.
+tighter, unchanged or missing against the base's, with ``perfbench/rowdiff.py``,
+and lists the looser and missing ones.
 It adds the traced ``quantile-map --seed 42`` counts and the wall time of
 ``tailbound verify --seed 42`` on both sides (alternating, 10 runs each), with a
 check that both reports have the same bytes apart from ``timestamp``.
@@ -104,7 +105,8 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
 
 
 def row_diff(sides: dict, workload: str, tmp: Path) -> dict:
-    """Counts of the change's seed-42 rows against the base's, matched on (spec, side, x)."""
+    """Counts of the change's seed-42 rows against the base's, matched on (spec, side, x),
+    with the looser and missing rows named as ``rowdiff.py`` prints them."""
     rows = {}
     for name, side in sides.items():
         path = tmp / f"rows-{workload}-{name}.jsonl"
@@ -118,7 +120,7 @@ def row_diff(sides: dict, workload: str, tmp: Path) -> dict:
                     == (b["lower_log"], b["upper_log"]))
     return {"looser": len(looser), "missing": len(missing), "unchanged": unchanged,
             "tighter": len(base) - len(looser) - len(missing) - unchanged,
-            "base_rows": len(base)}
+            "base_rows": len(base), "looser_rows": looser, "missing_rows": missing}
 
 
 def without_timestamp(path: Path) -> str:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .dist_model import LogMgfSpec, Side
 from .engine_upper import (
-    BoundResult, MgfSandwich, _mirrored, _no_certificate, chernoff_upper, result_from_log,
+    _ENDPOINT_SHRINK, BoundResult, MgfSandwich, _mirrored, _no_certificate, chernoff_upper,
+    result_from_log,
 )
 from .errors import DomainError
 from .specfun import _grid_argmax
@@ -156,14 +157,6 @@ def evaluate_tail_lower(tail: TailLowerFn, x: float) -> BoundResult:
                        "sum_composition", dict(tail.params))
 
 
-def _rc_exponents(logphi, x: float, t: float, tp: float, th: float, d: float):
-    """Log magnitudes (l1, l2, l3) of the three reverse Chernoff terms."""
-    l1 = float(logphi(t)) - t * d * x
-    l2 = float(logphi(t * th)) - t * th * d * x
-    l3 = -(t * d - tp) * x + float(logphi(t - tp))
-    return l1, l2, l3
-
-
 def reverse_chernoff_objective(
     mgf: LogMgfSpec, x: float, params: ReverseChernoffParams, side: Side = Side.UPPER,
 ) -> float:
@@ -179,98 +172,71 @@ def reverse_chernoff_objective(
     t, tp, th, d = params.t, params.t_prime, params.theta, params.delta
     if not t * th < sup:
         raise DomainError(f"t*theta = {t * th} outside the MGF domain (sup = {sup})")
-    l1, l2, l3 = _rc_exponents(logphi, x, t, tp, th, d)
+    l1 = float(logphi(t)) - t * d * x
+    l2 = float(logphi(t * th)) - t * th * d * x
+    l3 = -(t * d - tp) * x + float(logphi(t - tp))
     m = max(l1, l2, l3)
     if m == -math.inf:
         return 0.0
-    return math.exp(m) * math.fsum(
-        (math.exp(l1 - m), -math.exp(l2 - m), -math.exp(l3 - m)))
+    bracket = math.fsum((math.exp(l1 - m), -math.exp(l2 - m), -math.exp(l3 - m)))
+    try:
+        return math.exp(m) * bracket
+    except OverflowError:  # a term beyond the float range
+        return math.copysign(math.inf, bracket) if bracket else 0.0
 
 
-_RC_T_POINTS = 40
-_RC_THETAS = np.arange(1.05, 4.0001, 0.05)
-_RC_DELTAS = 1.0 + np.geomspace(0.02, 9.0, 20)
-# t' = 0 is left out: its third term e^{-(t d - t') x} phi(t - t') equals the
-# first, phi(t) e^{-t d x}, so the bracket is -phi(t theta)/phi(t) e^{...} <= 0
-_RC_TP_FRACS = np.array([1.0, 0.5])
+# The search runs over (log t, log(theta - 1)) alone: t' and delta have closed
+# forms at each cell (see _rc_cells).
+_RC_POINTS = 48                     # grid points per axis
+_RC_ZOOMS = 4                       # re-grids over +-2 steps around the best cell
+_RC_LOG_THETA_M1 = (-20.0, 30.0)    # log(theta - 1) range on an unbounded domain
+_RC_T_REACH = 1000.0                # unbounded domain: t <= _RC_T_REACH * max(16 s1, 8)
+_RC_ULPS = 16.0                     # rounding error per operand, in units of eps
+_EPS = float(np.finfo(float).eps)
 
 
-def _rc_grid_best(logphi, sup: float, x: float, t_cap: float):
-    """Vectorized sweep of the (t, theta, delta, t') grid; returns the best cell."""
-    t = np.geomspace(1e-3, t_cap, _RC_T_POINTS)
-    th = _RC_THETAS
-    d = _RC_DELTAS
-    f = _RC_TP_FRACS
+def _rc_cells(logphi, x: float, s1: float, cap: float, t: np.ndarray, th: np.ndarray):
+    """Certified log value and delta of each (t, theta) cell; -inf where none.
 
-    lp_t = np.asarray(logphi(t))                      # (T,)
-    tt = np.multiply.outer(t, th)                     # (T, H)
+    With psi(s) = log phi(s) - s x, the third term's ratio to the first is
+    r3 = e^{psi(t - t') - psi(t)} for every delta, least at t - t' = s1, the
+    Chernoff tilt, so t' = t - s1 and a cell with t <= s1 cannot certify.  With
+    u = t theta the log certificate is concave in delta and largest where
+    e^{log phi(u) - log phi(t) - (u - t) delta x} = t (1 - r3) / u; delta is
+    that root, kept above 1.  Each exponent is moved against the certificate by
+    _RC_ULPS ulps of the magnitudes of its operands, not of the cancelled
+    difference, and a bracket that does not exceed its own rounding error is
+    not a certificate.
+    """
+    u = np.multiply.outer(t, th)
     with np.errstate(all="ignore"):
-        lp_tt = np.where(tt < sup, np.asarray(logphi(np.minimum(tt, sup * (1 - 1e-12)))), np.inf)
-        lp_res = np.asarray(logphi(np.multiply.outer(t, 1.0 - f)))    # (T, F)
-
-    # exponents: l1[i,k] = lp(t_i) - t_i d_k x ; l2[i,j,k] adds theta_j ; l3[i,k,m] uses t' = f_m t_i
-    td = np.multiply.outer(t, d) * x                  # (T, D)
-    l1 = lp_t[:, None] - td                           # (T, D)
-    l2 = lp_tt[:, :, None] - np.einsum("ij,k->ijk", tt, d) * x                           # (T, H, D)
-    l3 = -(td[:, :, None] - np.multiply.outer(t, f)[:, None, :] * x) + lp_res[:, None, :]  # (T, D, F)
-
-    with np.errstate(all="ignore"):
-        a = np.exp(np.minimum(l2[:, :, :, None] - l1[:, None, :, None], 700.0))  # (T,H,D,F)
-        b = np.exp(np.minimum(l3[:, None, :, :] - l1[:, None, :, None], 700.0))
-        bracket = 1.0 - a - b
-        val_log = np.where(bracket > 0.0,
-                           l1[:, None, :, None] + np.log(np.maximum(bracket, 1e-300)),
-                           -np.inf)
-    idx = np.unravel_index(np.argmax(val_log), val_log.shape)
-    best_log = float(val_log[idx])
-    if best_log == -math.inf:
-        return None
-    i, j, k, m = idx
-    return best_log, float(t[i]), float(th[j]), float(d[k]), float(f[m])
-
-
-def _nelder_mead(fun, x0: np.ndarray) -> np.ndarray:
-    """Minimal Nelder-Mead: initial step 0.2, 200 iterations; fun may return
-    +inf for infeasible points."""
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        p = np.array(x0, dtype=float)
-        p[i] += 0.2
-        simplex.append(p)
-    vals = [fun(p) for p in simplex]
-    for _ in range(200):
-        order = np.argsort(vals)
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = fun(xr)
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = fun(xe)
-            simplex[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < vals[-2]:
-            simplex[-1], vals[-1] = xr, fr
-        else:
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = fun(xc)
-            if fc < vals[-1]:
-                simplex[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    vals[i] = fun(simplex[i])
-    best = int(np.argmin(vals))
-    return simplex[best]
+        lp_s1 = float(logphi(s1))
+        lp_t = np.asarray(logphi(t))[:, None]
+        lp_u = np.asarray(logphi(np.minimum(u, cap).ravel())).reshape(u.shape)
+        tc = t[:, None]
+        log_r3 = (lp_s1 - s1 * x) - (lp_t - tc * x)
+        root = (lp_u - lp_t - np.log1p(-np.exp(log_r3)) + np.log(th)) / ((u - tc) * x)
+        delta = np.maximum(root, 1.0 + 1e-12)
+        tdx, udx = tc * delta * x, u * delta * x
+        l1 = lp_t - tdx
+        ulps = _RC_ULPS * _EPS
+        err1 = ulps * (np.abs(lp_t) + tdx)
+        err2 = err1 + ulps * (np.abs(lp_u) + udx)
+        err3 = ulps * (np.abs(lp_t) + tc * x + abs(lp_s1) + s1 * x)
+        bracket = 1.0 - np.exp(lp_u - udx - l1 + err2) - np.exp(log_r3 + err3) - 4.0 * _EPS
+        log_bracket = np.log(bracket)
+        val = l1 - err1 + log_bracket - ulps * np.abs(log_bracket)
+    ok = (tc > s1) & (u < cap) & (bracket > 0.0)
+    return np.where(ok, val, -math.inf), delta
 
 
 def reverse_chernoff_lower(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundResult:
-    """Best reverse Chernoff certificate found by grid sweep plus refinement.
+    """Best reverse Chernoff certificate over (t, theta), t' and delta in closed form.
 
     Every positive value is a certified lower bound because the inequality
     holds for all feasible (t, t', theta, delta); global optimality is not
-    needed and not claimed.
+    needed and not claimed.  The grid over (log t, log(theta - 1)) is
+    re-gridded _RC_ZOOMS times around its best cell.
     """
     if x <= 0.0 or math.isnan(x):
         raise DomainError(f"reverse Chernoff needs x > 0, got {x}")
@@ -279,45 +245,33 @@ def reverse_chernoff_lower(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -
     if sup <= 0.0:
         raise DomainError("MGF domain has no positive part on the requested side")
 
-    if math.isfinite(sup):
-        t_cap = 0.99 * sup
-    else:
-        ch = chernoff_upper(mgf, x, side)
-        t_star = abs(ch.params_used.get("t_star", 1.0))
-        t_cap = max(4.0 * t_star, 2.0)
-
-    found = _rc_grid_best(logphi, sup, x, t_cap)
-    if found is None:
+    s1 = chernoff_upper(mgf, x, side).params_used["t_star"]
+    bounded = math.isfinite(sup)
+    cap = sup * (1.0 - _ENDPOINT_SHRINK) if bounded else math.inf  # t theta < cap
+    t_hi = cap if bounded else _RC_T_REACH * max(16.0 * s1, 8.0)
+    best = (-math.inf,)
+    # t must lie in (s1, t_hi); s1 = 0 where the Chernoff search saw no slope at x
+    if 0.0 < s1 < t_hi:
+        h_hi = math.log(cap / s1 - 1.0) if bounded else _RC_LOG_THETA_M1[1]
+        box = [(math.log(s1), math.log(t_hi)), (_RC_LOG_THETA_M1[0], h_hi)]
+        for _ in range(_RC_ZOOMS + 1):
+            gt, gh = (np.linspace(lo, hi, _RC_POINTS) for lo, hi in box)
+            t, th = np.exp(gt), 1.0 + np.exp(gh)
+            vals, deltas = _rc_cells(logphi, x, s1, cap, t, th)
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            if vals[i, j] == -math.inf:
+                break
+            if vals[i, j] > best[0]:
+                best = (float(vals[i, j]), float(t[i]), float(th[j]), float(deltas[i, j]))
+            box = [(g[max(k - 2, 0)], g[min(k + 2, _RC_POINTS - 1)])
+                   for g, k in ((gt, i), (gh, j))]
+    if best[0] == -math.inf:
         return _no_certificate("reverse_chernoff", "reverse_chernoff",
                                {"feasible": False, "side": side.value})
-
-    best_log, t0, th0, d0, f0 = found
-
-    def point(z: np.ndarray) -> tuple[float, float, float]:
-        return math.exp(z[0]), 1.0 + math.exp(z[1]), 1.0 + math.exp(z[2])
-
-    def neg_obj(z: np.ndarray) -> float:
-        t, th, d = point(z)
-        if not (0.0 < t and t * th < sup):
-            return math.inf
-        l1, l2, l3 = _rc_exponents(logphi, x, t, f0 * t, th, d)
-        if l2 >= l1 or l3 >= l1:
-            return math.inf
-        bracket = -math.expm1(l2 - l1) - math.exp(l3 - l1)
-        if bracket <= 0.0:
-            return math.inf
-        return -(l1 + math.log(bracket))
-
-    z0 = np.array([math.log(t0), math.log(max(th0 - 1.0, 1e-12)), math.log(max(d0 - 1.0, 1e-12))])
-    z_best = _nelder_mead(neg_obj, z0)
-    refined = -neg_obj(z_best)
-    if refined > best_log:
-        best_log = refined
-        t0, th0, d0 = point(z_best)
-
+    log_value, t, th, d = best
     return result_from_log(
-        best_log, "reverse_chernoff", True, "reverse_chernoff",
-        {"t": t0, "t_prime": f0 * t0, "theta": th0, "delta": d0, "side": side.value},
+        log_value, "reverse_chernoff", True, "reverse_chernoff",
+        {"t": t, "t_prime": t - s1, "theta": th, "delta": d, "side": side.value},
     )
 
 

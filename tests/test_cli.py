@@ -5,6 +5,8 @@ import os
 import pytest
 
 from tailbound.cli import main
+from tailbound.dist_model import Poisson, Side
+from tailbound.oracle import exact_tail
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +24,18 @@ def test_bound_poisson_boundary(capsys):
     assert abs(payload["lower"]["value"] - 0.39346934) < 1e-8
     assert payload["lower"]["certified"]
     assert payload["upper"]["value"] >= payload["exact"]["value"]
+
+
+def test_bound_poisson_lower_edge_certifies_without_overflow(capsys):
+    # P(X <= lam - x) = P(X = 0) = e^{-lam}; a search step once overflowed math.exp here
+    lam, x = 99.3477322794792, 99.34773163693232
+    code, out, _ = run_cli(
+        capsys, "bound", "--dist", json.dumps({"family": "poisson", "params": {"lambda": lam}}),
+        "--side", "lower", "--x", repr(x), "--json", "--no-exact")
+    assert code == 0
+    lower = json.loads(out)["lower"]
+    assert lower["certified"]
+    assert lower["log_value"] <= exact_tail(Poisson(lam), Side.LOWER, x).log_value
 
 
 def test_bound_raw_threshold(capsys):

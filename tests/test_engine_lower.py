@@ -1,15 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from tailbound import specfun as sf
-from tailbound.dist_model import Binomial, Normal, Poisson, Side, log_mgf
+from tailbound.dist_model import (
+    Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum, Side,
+    log_mgf, support_extent, variance,
+)
 from tailbound.engine_lower import (
-    ReverseChernoffParams, TailLowerFn, compose_sum_lower, mgf_sandwich_from_tails,
+    ReverseChernoffParams, TailLowerFn, _rc_cells, compose_sum_lower, mgf_sandwich_from_tails,
     pz_lower, pz_paper_constants, reverse_chernoff_lower, reverse_chernoff_objective,
 )
-from tailbound.engine_upper import MgfSandwich
+from tailbound.engine_upper import MgfSandwich, _mirrored, chernoff_upper
 from tailbound.errors import DomainError
 from tailbound.oracle import exact_tail
 
@@ -116,6 +120,12 @@ def test_rc_objective_degenerate_theta_is_nonpositive():
     assert reverse_chernoff_objective(mgf, 1.0, p) <= 0.0
 
 
+def test_rc_objective_beyond_the_float_range_is_minus_inf():
+    # phi(100) e^{-101} = e^{4899}: the second term overflows and dominates
+    p = ReverseChernoffParams(t=1.0, t_prime=1.0, theta=100.0, delta=1.01)
+    assert reverse_chernoff_objective(log_mgf(Normal(1.0)), 1.0, p) == -math.inf
+
+
 def test_rc_objective_soundness_sample():
     # raw objective never exceeds the exact tail at any feasible point
     cases = [(Binomial(200, 0.3), 40.0), (Poisson(3.0), 4.0), (Normal(1.0), 2.0)]
@@ -157,6 +167,97 @@ def test_rc_lower_side_poisson():
 def test_rc_requires_positive_x_and_domain():
     with pytest.raises(DomainError):
         reverse_chernoff_lower(log_mgf(Normal(1.0)), 0.0)
+
+
+def test_rc_poisson_lower_edge_has_no_certificate():
+    # at x = lam, psi(s) = lam (e^{-s} - 1) falls on all of (0, inf), so no
+    # parameter point certifies; a bracket of rounding error once read -110.04
+    r = reverse_chernoff_lower(log_mgf(Poisson(3.0)), 3.0, Side.LOWER)
+    assert not r.certified and r.log_value == -math.inf
+
+
+# the (t, theta) search with t' and delta in closed form ---------------------------
+
+_RC_CASES = (
+    (Normal(1.0), Side.UPPER, 3.0), (Gamma(2.5), Side.UPPER, 4.0), (Gamma(2.5), Side.LOWER, 1.5),
+    (ChiSq(4), Side.LOWER, 2.0), (Poisson(3.0), Side.UPPER, 4.0), (Poisson(30.0), Side.LOWER, 12.0),
+    (RademacherSum(9), Side.UPPER, 5.0), (Binomial(200, 0.3), Side.LOWER, 20.0),
+)
+
+
+def _log_objective(mgf, x, side, t, tp, th, d):
+    v = reverse_chernoff_objective(mgf, x, ReverseChernoffParams(t, tp, th, d), side)
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def test_rc_closed_form_delta_is_the_best_delta():
+    deltas = 1.0 + np.geomspace(1e-9, 1e3, 400)
+    for spec, side, x in _RC_CASES:
+        mgf = log_mgf(spec)
+        logphi, sup = _mirrored(mgf, side)
+        best = reverse_chernoff_lower(mgf, x, side).params_used
+        t, th = best["t"], best["theta"]
+        for tp in (best["t_prime"], 0.5 * best["t_prime"]):
+            cert, delta = _rc_cells(logphi, x, t - tp, sup, np.array([t]), np.array([th]))
+            at_root = _log_objective(mgf, x, side, t, tp, th, float(delta[0, 0]))
+            scan = max(_log_objective(mgf, x, side, t, tp, th, float(d)) for d in deltas)
+            assert at_root >= scan - 1e-9 * abs(scan), (spec, side, tp)
+            assert cert[0, 0] <= at_root  # the certified value sits below the objective
+
+
+def test_rc_t_prime_at_the_chernoff_tilt_beats_the_fixed_fractions():
+    for spec, side, x in _RC_CASES:
+        mgf = log_mgf(spec)
+        logphi, sup = _mirrored(mgf, side)
+        s1 = chernoff_upper(mgf, x, side).params_used["t_star"]
+        for t in (1.2 * s1, 2.0 * s1):
+            if not t < sup:
+                continue
+            for th in (1.0 + 0.5 * min(1.0, sup / t - 1.0), 1.0 + 0.1 * min(1.0, sup / t - 1.0)):
+                for d in (1.2, 3.0):
+                    first = math.exp(float(logphi(t)) - t * d * x)
+                    at_tilt = reverse_chernoff_objective(
+                        mgf, x, ReverseChernoffParams(t, t - s1, th, d), side)
+                    for frac in (1.0, 0.5):
+                        other = reverse_chernoff_objective(
+                            mgf, x, ReverseChernoffParams(t, frac * t, th, d), side)
+                        assert at_tilt >= other - 1e-12 * first, (spec, side, t, th, d, frac)
+
+
+def _rc_random_cases(n):
+    rng = random.Random(2027)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    draws = (
+        lambda: Normal(log_uniform(0.01, 100.0)), lambda: Gamma(log_uniform(0.05, 500.0)),
+        lambda: ChiSq(rng.randint(1, 300)),
+        lambda: NoncentralChiSq(rng.randint(1, 20), log_uniform(0.1, 300.0)),
+        lambda: Binomial(rng.randint(1, 400), rng.uniform(0.01, 0.99)),
+        lambda: Poisson(log_uniform(0.1, 300.0)), lambda: IrwinHall(rng.randint(2, 30)),
+        lambda: RademacherSum(rng.randint(1, 200)),
+    )
+    yield Gamma(1.6306076844278727), Side.LOWER, 1.630607684387354
+    while n > 1:
+        spec, side = rng.choice(draws)(), rng.choice(list(Side))
+        edge = support_extent(spec, side)
+        if math.isfinite(edge) and rng.random() < 0.3:  # 1e-12 to 1e-1 relative from the edge
+            x = edge * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0))
+        else:
+            x = min(math.sqrt(variance(spec)) * log_uniform(0.01, 12.0), 0.999 * edge)
+        if exact_tail(spec, side, x).log_value > -math.inf:
+            n -= 1
+            yield spec, side, x
+
+
+def test_rc_certificate_never_beats_the_exact_tail():
+    certified = 0
+    for spec, side, x in _rc_random_cases(1000):
+        r = reverse_chernoff_lower(log_mgf(spec), x, side)
+        certified += r.certified
+        assert r.log_value <= exact_tail(spec, side, x).log_value, (spec, side, x)
+    assert certified > 900
 
 
 # compose_sum_lower ----------------------------------------------------------------

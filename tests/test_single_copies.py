@@ -18,19 +18,16 @@ import pytest
 
 import tailbound
 from tailbound import specfun as sf
-from tailbound import engine_lower
 from tailbound.dist_bounds import (
     _BOUNDS, _beta_split_lower, _binomial_eq8_lower, _engine_lower, _kl_np, binomial_eq8_value,
     mgf_sandwich,
 )
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum,
-    Side, WeightedChiSq, WeightVector, log_mgf, variance,
+    Side, WeightedChiSq, WeightVector, log_mgf,
 )
-from tailbound.engine_lower import _pz_log_value, _pz_t_root, _rc_grid_best, pz_lower
-from tailbound.engine_upper import (
-    BoundResult, MgfSandwich, _mirrored, chernoff_upper, result_from_log,
-)
+from tailbound.engine_lower import _pz_log_value, _pz_t_root, pz_lower
+from tailbound.engine_upper import BoundResult, MgfSandwich, result_from_log
 from tailbound.errors import DomainError
 from tailbound.oracle import MonteCarloError, _mc_estimate, clopper_pearson
 
@@ -247,74 +244,6 @@ def test_beta_split_matches_the_replaced_loop():
         assert got == _ref_beta_split_lower(spec, side, x), (spec, side, x)
         outcomes.add(got.certified)
     assert outcomes == {True, False}
-
-
-# the reverse-Chernoff grid against the one with the t' = 0 slice --------------------
-
-_RC_SPECS = (
-    Normal(1.0), Gamma(2.5), Gamma(0.3), ChiSq(4), WeightedChiSq(WeightVector((1.0, 0.7, 0.4))),
-    NoncentralChiSq(3, 2.0), Binomial(200, 0.3), Poisson(3.0), Poisson(50.0), IrwinHall(8),
-    RademacherSum(9),
-)
-
-
-def _ref_rc_grid_best(logphi, sup, x, t_cap, fracs=(1.0, 0.5, 0.0)):
-    """_rc_grid_best as it was, over t'/t in fracs."""
-    t = np.geomspace(1e-3, t_cap, 40)
-    th = np.arange(1.05, 4.0001, 0.05)
-    d = 1.0 + np.geomspace(0.02, 9.0, 20)
-    f = np.array(fracs)
-    lp_t = np.asarray(logphi(t))
-    tt = np.multiply.outer(t, th)
-    with np.errstate(all="ignore"):
-        lp_tt = np.where(tt < sup, np.asarray(logphi(np.minimum(tt, sup * (1 - 1e-12)))), np.inf)
-        lp_res = np.asarray(logphi(np.multiply.outer(t, 1.0 - f)))
-    td = np.multiply.outer(t, d) * x
-    l1 = lp_t[:, None] - td
-    l2 = lp_tt[:, :, None] - np.einsum("ij,k->ijk", tt, d) * x
-    l3 = -(td[:, :, None] - np.multiply.outer(t, f)[:, None, :] * x) + lp_res[:, None, :]
-    with np.errstate(all="ignore"):
-        a = np.exp(np.minimum(l2[:, :, :, None] - l1[:, None, :, None], 700.0))
-        b = np.exp(np.minimum(l3[:, None, :, :] - l1[:, None, :, None], 700.0))
-        bracket = 1.0 - a - b
-        val_log = np.where(bracket > 0.0,
-                           l1[:, None, :, None] + np.log(np.maximum(bracket, 1e-300)),
-                           -np.inf)
-    idx = np.unravel_index(np.argmax(val_log), val_log.shape)
-    best_log = float(val_log[idx])
-    if best_log == -math.inf:
-        return None
-    i, j, k, m = idx
-    return best_log, float(t[i]), float(th[j]), float(d[k]), float(f[m])
-
-
-def _rc_grid_cases():
-    """(logphi, sup, x, t_cap) with t_cap chosen as reverse_chernoff_lower chooses it."""
-    rng = random.Random(12)
-    for spec in _RC_SPECS:
-        mgf = log_mgf(spec)
-        for _ in range(3):
-            side = rng.choice(list(Side))
-            x = math.sqrt(variance(spec)) * 10.0 ** rng.uniform(-6.0, math.log10(12.0))
-            logphi, sup = _mirrored(mgf, side)
-            if math.isfinite(sup):
-                t_cap = 0.99 * sup
-            else:
-                t_star = abs(chernoff_upper(mgf, x, side).params_used.get("t_star", 1.0))
-                t_cap = max(4.0 * t_star, 2.0)
-            yield logphi, sup, x, t_cap
-
-
-def test_rc_grid_matches_the_grid_with_the_t_prime_zero_slice(monkeypatch):
-    found = 0
-    for case in _rc_grid_cases():
-        got = _rc_grid_best(*case)
-        assert got == _ref_rc_grid_best(*case), case[1:]
-        found += got is not None
-        monkeypatch.setattr(engine_lower, "_RC_TP_FRACS", np.array([0.0]))
-        assert _rc_grid_best(*case) is None  # t' = 0 alone never certifies
-        monkeypatch.undo()
-    assert found > 0
 
 
 # the engine route needs both a log-MGF and a sandwich ------------------------------
