@@ -123,7 +123,8 @@ def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None
         return _zero_result("binomial_support")
     q = spec.p if side is Side.UPPER else 1.0 - spec.p  # success rate of the tail's count
     if spec.k * q + x < 1.0:
-        v, lv = oracle.binom_at_least_one(spec.k, q)
+        log_miss = math.log1p(-spec.p) if side is Side.UPPER else math.log(spec.p)
+        v, lv = oracle.binom_at_least_one(spec.k, log_miss)
         return BoundResult(v, lv, "boundary_exact", True, _BINOMIAL_BOUNDARY,
                            {"formula": "1-(1-p)^k" if side is Side.UPPER else "1-p^k"})
     return None

@@ -1,9 +1,17 @@
 """Exact or error-bounded evaluation of the true tails P(X >= x) and P(X <= -x).
 
 Continuous families go through the incomplete gamma/beta integrals, discrete
-families through log-space pmf summation from the far tail inward, the
-noncentral chi-square through its mixture series, and the weighted
-chi-square through seeded Monte Carlo with a Clopper-Pearson interval.
+families through log-space pmf summation from the far tail inward, and the
+weighted chi-square through seeded Monte Carlo with a Clopper-Pearson interval.
+
+The noncentral chi-square is the Poisson(lam/2) mixture of Gamma(k/2 + j) tails
+at half the threshold.  One incomplete gamma gives one term; the others follow
+from the recurrence Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1), whose steps
+add positive terms only: upward from j = 0 for the upper tail (Q grows in j), and
+downward from a top index for the lower tail (P = 1 - Q shrinks in j).  Each sum
+stops once a bound on the mass it leaves out is at most 1e-17 of the sum so far:
+a geometric bound on the terms above the stop for the upper tail, the Poisson
+weight above the top index for the lower tail.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .dist_model import (
     Normal, Poisson, RademacherSum, RngStream, Side, WeightedChiSq,
     _blocks, sample,
 )
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError, TruncationError, UnsupportedFamilyError
 
 
 @dataclass(frozen=True)
@@ -96,35 +104,29 @@ def _floor_snap(t: float) -> int:
     return int(math.floor(_snap(t)))
 
 
-def binom_at_least_one(k: int, p: float) -> tuple[float, float]:
-    """P(Bin(k, p) >= 1) = 1 - (1-p)^k as (value, log_value).
+def binom_at_least_one(k: int, log_miss: float) -> tuple[float, float]:
+    """P(Bin(k, p) >= 1) = 1 - (1-p)^k as (value, log_value), from log_miss = ln(1 - p).
 
     Shared with the bound catalog so discrete boundary cases agree bit for bit.
     """
-    log_miss = k * math.log1p(-p)
-    value = -math.expm1(log_miss)
-    log_value = math.log1p(-math.exp(log_miss)) if log_miss > -745.0 else 0.0
+    log_none = k * log_miss
+    value = -math.expm1(log_none)
+    log_value = math.log1p(-math.exp(log_none)) if log_none > -745.0 else 0.0
     return value, log_value
 
 
-def _log_binom_pmf(k: int, p: float, j: int) -> float:
-    return (
-        math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
-        + j * math.log(p) + (k - j) * math.log1p(-p)
-    )
-
-
-def binom_upper_tail(k: int, p: float, m: int) -> tuple[float, float]:
-    """P(Bin(k, p) >= m) as (value, log_value), pmf-summed from the far tail."""
+def _binom_sf(k: int, log_p: float, log_q: float, m: int) -> tuple[float, float]:
+    """P(Bin(k, p) >= m) as (value, log_value) from ln p and ln q = ln(1 - p),
+    pmf-summed from the far tail."""
     if m <= 0:
         return 1.0, 0.0
     if m > k:
         return 0.0, -math.inf
     if m == 1:
-        return binom_at_least_one(k, p)
-    log_ratio_base = math.log(p) - math.log1p(-p)
+        return binom_at_least_one(k, log_q)
+    log_ratio_base = log_p - log_q
     logs = []
-    lg = _log_binom_pmf(k, p, k)
+    lg = k * log_p
     for j in range(k, m - 1, -1):
         logs.append(lg)
         if j > m:
@@ -138,17 +140,20 @@ def binom_upper_tail(k: int, p: float, m: int) -> tuple[float, float]:
     return min(1.0, value), min(0.0, log_value)
 
 
+def binom_upper_tail(k: int, p: float, m: int) -> tuple[float, float]:
+    """P(Bin(k, p) >= m) as (value, log_value), pmf-summed from the far tail."""
+    return _binom_sf(k, math.log(p), math.log1p(-p), m)
+
+
 def _binom_tail(spec: Binomial, side: Side, x: float) -> tuple[float, float]:
     k, p = spec.k, spec.p
     if side is Side.UPPER:
-        m = _ceil_snap(k * p + x)
-        return binom_upper_tail(k, p, m)
+        return binom_upper_tail(k, p, _ceil_snap(k * p + x))
     t = _snap(k * p - x)
     if t < 0.0:
         return 0.0, -math.inf
-    j_max = _floor_snap(t)
-    # P(Y <= j) = P(k - Y >= k - j) with k - Y ~ Bin(k, 1-p)
-    return binom_upper_tail(k, 1.0 - p, k - j_max)
+    # P(Y <= j) = P(k - Y >= k - j) with k - Y ~ Bin(k, 1-p), whose logs are exact
+    return _binom_sf(k, math.log1p(-p), math.log(p), k - _floor_snap(t))
 
 
 def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
@@ -195,15 +200,86 @@ def irwin_hall_cdf(k: int, y: float) -> float:
 _IRWIN_HALL_EXACT_MAX_K = 30
 
 
-def _nc_chisq_last_index(lam_half: float) -> int:
-    """Last Poisson(lam/2) mixture index kept: the remaining weight is < 1e-14."""
-    j = int(lam_half + 10.0 * math.sqrt(lam_half) + 20.0)
-    while specfun.log_reg_inc_gamma_lower(j + 1, lam_half) >= math.log(1e-14):
-        j += max(2, int(0.1 * j))
-    return j
+# The noncentral chi-square tail is sum_j T_j with T_j = w_j G_j: w_j the Poisson(mu)
+# weights, mu = lam / 2, and G_j the Gamma(a0 + j) tail at y = z / 2, a0 = k / 2.  A walk
+# keeps T_j = t e^scale and the sum so far as total e^scale, rescaling as t grows.
+_NC_EPS = 1e-17
+_NC_LOG_EPS = math.log1p(1.0 / _NC_EPS)  # L with e^-L = eps / (1 + eps)
+_NC_RESCALE = 1e100
+_NC_MAX_TERMS = 1 << 20
+
+
+def _nc_too_many_terms(a0: float, y: float, mu: float) -> TruncationError:
+    return TruncationError(f"noncentral chi-square mixture needs more than {_NC_MAX_TERMS} "
+                           f"terms at a={a0}, y={y}, mu={mu}")
+
+
+def _nc_chisq_upper_log(a0: float, y: float, mu: float) -> float:
+    """ln sum_j w_j Q(a0 + j, y), walking up from j = 0 by
+    Q(a0 + j + 1, y) = Q(a0 + j, y) + f_j, f_j = y^(a0+j) e^-y / Gamma(a0 + j + 1).
+
+    With u = f_j / G_j, each term ratio is T_{j+1} / T_j = mu (1 + u) / (j + 1).  Every
+    later ratio is at most mu (1 + y / (a0 + j + 1)) / (j + 2), as G_n >= f_{n-1}; once
+    a0 + j + 1 >= y the ratios no longer rise, so T_{j+1} / T_j bounds them too.  With
+    r < 1 the smaller bound, the terms after T_{j+1} sum to at most T_{j+1} r / (1 - r).
+    """
+    log_q = specfun.inc_gamma(a0, y)[3]
+    u = math.exp(a0 * math.log(y) - y - math.lgamma(a0 + 1.0) - log_q)
+    scale, t, total = log_q - mu, 1.0, 1.0
+    for j in range(_NC_MAX_TERMS):
+        ratio = mu * (1.0 + u) / (j + 1)
+        u *= y / ((a0 + j + 1) * (1.0 + u))
+        t *= ratio
+        total += t
+        r = mu * (1.0 + y / (a0 + j + 1)) / (j + 2)
+        if a0 + j + 1 >= y:
+            r = min(r, ratio)
+        if r < 1.0 and t * r <= _NC_EPS * (1.0 - r) * total:
+            return scale + math.log(total)
+        if t > _NC_RESCALE:
+            scale, total, t = scale + math.log(t), total / t, 1.0
+    raise _nc_too_many_terms(a0, y, mu)
+
+
+def _nc_chisq_lower_log(a0: float, y: float, mu: float) -> float:
+    """ln sum_j w_j P(a0 + j, y), walking down from a top index J by
+    P(a0 + j, y) = P(a0 + j + 1, y) + f_j.
+
+    J is the first index with P(N > J) <= eps P(N <= J) for N ~ Poisson(mu), from
+    Bernstein's bound P(N >= mu + d) <= exp(-d^2 / (2 (mu + d / 3))), or 0 once
+    1 - e^-mu <= eps e^-mu.  G_j falls in j, so the terms past J sum to at most
+    G_J P(N > J) <= eps G_J P(N <= J), which is at most eps times the sum.
+    """
+    if mu * (1.0 + _NC_EPS) <= _NC_EPS:
+        top = 0
+    else:
+        top = math.ceil(mu + _NC_LOG_EPS / 3.0
+                        + math.sqrt(_NC_LOG_EPS ** 2 / 9.0 + 2.0 * _NC_LOG_EPS * mu))
+    if top > _NC_MAX_TERMS:
+        raise _nc_too_many_terms(a0, y, mu)
+    a = a0 + top
+    log_p = specfun.inc_gamma(a, y)[1]
+    v = math.exp((a - 1.0) * math.log(y) - y - math.lgamma(a) - log_p)  # f_{j-1} / G_j
+    scale = log_p - mu + top * math.log(mu) - math.lgamma(top + 1.0) if top else log_p - mu
+    t = total = 1.0
+    for j in range(top, 0, -1):
+        t *= j * (1.0 + v) / mu  # T_{j-1} / T_j
+        total += t
+        v *= (a0 + j - 1) / (y * (1.0 + v))
+        if t > _NC_RESCALE:
+            scale, total, t = scale + math.log(t), total / t, 1.0
+    return scale + math.log(total)
 
 
 def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, float, ErrorModel]:
+    """The Poisson(lam/2) mixture of Gamma(k/2 + j) tails at half the threshold.
+
+    One incomplete gamma per call: the upper side starts at j = 0 and walks up, the
+    lower side starts at its top index and walks down; every other term comes from
+    the one-step recurrence, adding positive terms only.  Each walk stops once the
+    mass it leaves out is at most 1e-17 of its sum, so the error model's absolute
+    1e-12 holds at every depth.
+    """
     k, lam = spec.k, spec.lam
     if lam == 0.0:
         v, lv = _gamma_tail(0.5 * k, side, 0.5 * x)
@@ -211,20 +287,9 @@ def _nc_chisq_tail(spec: NoncentralChiSq, side: Side, x: float) -> tuple[float, 
     z = (k + lam) + x if side is Side.UPPER else (k + lam) - x
     if side is Side.LOWER and z <= 0.0:
         return 0.0, -math.inf, ExactError(abs_tol=0.0)
-    logs = []
-    log_w = -0.5 * lam
-    for j in range(_nc_chisq_last_index(0.5 * lam) + 1):
-        if j > 0:
-            log_w += math.log(0.5 * lam) - math.log(j)
-        a = 0.5 * (k + 2 * j)
-        if side is Side.UPPER:
-            lt = specfun.log_reg_inc_gamma_upper(a, 0.5 * z)
-        else:
-            lt = specfun.log_reg_inc_gamma_lower(a, 0.5 * z)
-        logs.append(log_w + lt)
-    log_value = specfun.log_sum_exp(logs)
-    value = math.exp(log_value)
-    return min(1.0, value), min(0.0, log_value), TruncatedError(abs_tol=1e-12)
+    walk = _nc_chisq_upper_log if side is Side.UPPER else _nc_chisq_lower_log
+    log_value = walk(0.5 * k, 0.5 * z, 0.5 * lam)
+    return min(1.0, math.exp(log_value)), min(0.0, log_value), TruncatedError(abs_tol=1e-12)
 
 
 def _normal_tail(spec: Normal, side: Side, x: float):

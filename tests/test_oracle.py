@@ -8,7 +8,9 @@ from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson,
     RademacherSum, Side, WeightedChiSq, WeightVector,
 )
-from tailbound.errors import DomainError
+from tailbound import oracle
+from tailbound.errors import DomainError, TruncationError
+from tailbound.harness import bisect_quantile
 from tailbound.oracle import (
     clopper_pearson, exact_tail, irwin_hall_cdf, mc_tail,
     poisson_cdf_int, poisson_sf_int,
@@ -90,6 +92,77 @@ def test_noncentral_against_mc():
             est = exact_tail(spec, side, x)
             mc = mc_tail(spec, side, x, n=200_000, seed=17)
             assert mc.error.ci_lo - 1e-12 <= est.value <= mc.error.ci_hi + 1e-12
+
+
+@pytest.fixture
+def inc_gamma_calls(monkeypatch):
+    """Count the incomplete gammas the oracles evaluate."""
+    calls = []
+    inc_gamma = sf.inc_gamma
+
+    def counted(a, y):
+        calls.append((a, y))
+        return inc_gamma(a, y)
+    monkeypatch.setattr(sf, "inc_gamma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lam", (2.0, 30.0, 300.0))
+def test_noncentral_tail_costs_one_incomplete_gamma(inc_gamma_calls, lam):
+    # every mixture term but one comes from the recurrence, at any depth
+    spec = NoncentralChiSq(3, lam)
+    sd = math.sqrt(2.0 * (3 + 2.0 * lam))
+    for side in Side:
+        for z in (0.1, 1.0, 3.0, 8.0):
+            del inc_gamma_calls[:]
+            exact_tail(spec, side, z * sd)
+            assert len(inc_gamma_calls) <= 3, (side, z)
+
+
+def _mixture_terms_summed(monkeypatch, spec, side, x):
+    """c such that the walk sums the terms 0..c: the smallest term cap that it keeps to."""
+    lo, hi = 0, 1 << 12
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(oracle, "_NC_MAX_TERMS", mid)
+        try:
+            exact_tail(spec, side, x)
+            hi = mid
+        except TruncationError:
+            lo = mid + 1
+    monkeypatch.undo()
+    return lo
+
+
+@pytest.mark.parametrize("spec, side, q_or_x", [
+    (NoncentralChiSq(2, 300.0), Side.UPPER, 1200.0),
+    (NoncentralChiSq(2, 300.0), Side.LOWER, 8.0 * math.sqrt(2.0 * 602.0)),
+    (NoncentralChiSq(3, 2.0), Side.UPPER, "1e-8"),
+    (NoncentralChiSq(3, 2.0), Side.LOWER, "1e-8"),
+])
+def test_noncentral_terms_past_the_stop_are_negligible(monkeypatch, spec, side, q_or_x):
+    # the next 200 mixture terms, each from its own incomplete gamma, hold at most
+    # the 1e-17 of the sum that the stop rule claims, so they move the log tail
+    # by less than 1e-15 relative
+    x = bisect_quantile(spec, side, float(q_or_x)) if isinstance(q_or_x, str) else q_or_x
+    log_p = exact_tail(spec, side, x).log_value
+    c = _mixture_terms_summed(monkeypatch, spec, side, x)
+    a0, mu = 0.5 * spec.k, 0.5 * spec.lam
+    y = 0.5 * ((spec.k + spec.lam) + x if side is Side.UPPER else (spec.k + spec.lam) - x)
+    dropped = [
+        -mu + n * math.log(mu) - math.lgamma(n + 1.0)
+        + sf.inc_gamma(a0 + n, y)[3 if side is Side.UPPER else 1]
+        for n in range(c + 1, c + 201)
+    ]
+    share = math.exp(sf.log_sum_exp(dropped) - log_p)
+    assert share <= 1e-17 and math.log1p(share) <= 1e-15 * abs(log_p), share
+    assert log_p < -18.0  # a deep tail: 1e-8 or beyond
+
+
+def test_noncentral_huge_noncentrality_is_refused():
+    # more mixture terms than the walk may take: an error, not a hang
+    with pytest.raises(TruncationError):
+        exact_tail(NoncentralChiSq(1, 1e7), Side.LOWER, 1.0)
 
 
 def test_gamma_left_tail_zero_region():
