@@ -6,7 +6,8 @@ Three tiers of lower bound are served:
   (small-shape gamma bracket, discrete boundary cases, support edges);
 * numeric_certified: a certificate produced by the lower-bound engines
   (reverse Chernoff on the exact MGF, Paley-Zygmund on the family sandwich,
-  the dedicated binomial construction, or the beta-as-two-gammas split);
+  the binomial atom pmf(m) with its log-concave extension, or the
+  beta-as-two-gammas split);
   always a true lower bound on the exact tail;
 * rate_form: the shape of the matching-rate statements whose constants are
   only known to exist; evaluated with caller-supplied (c, C), never certified.
@@ -16,10 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import oracle, specfun
 from .dist_model import (
@@ -27,7 +26,7 @@ from .dist_model import (
     Normal, Poisson, RademacherSum, Side, WeightedChiSq,
     _FAMILY, family_name, log_mgf, mean_shift, support_extent, variance,
 )
-from .engine_lower import pz_lower, reverse_chernoff_lower
+from .engine_lower import _EPS, _RC_ULPS, pz_lower, reverse_chernoff_lower
 from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
 from .errors import DomainError, UnsupportedFamilyError, WindowError
 
@@ -138,6 +137,9 @@ def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
                            {"formula": "1-exp(-lambda)"})
     if side is Side.LOWER and x > spec.lam:
         return _zero_result("poisson_support")
+    if side is Side.LOWER and oracle._floor_snap(spec.lam - x) == 0:
+        return BoundResult(math.exp(-spec.lam), -spec.lam, "boundary_exact", True,
+                           _POISSON_BOUNDARY, {"formula": "exp(-lambda)"})
     return None
 
 
@@ -268,12 +270,8 @@ def gamma_small_shape_left_upper_end(a: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kl_np(u, v):
-    return v * np.log(v / u) + (1.0 - v) * np.log((1.0 - v) / (1.0 - u))
-
-
 def binomial_eq8_value(k: int, p: float, x: float, delta: float) -> float:
-    """The dedicated binomial lower-bound construction at one delta.
+    """The paper's binomial lower-bound construction (eq. 8) at one delta.
 
     exp(-k h_p(p + d x/k)) * [1 - exp(-k h_m(p + d x/k)) - exp(-k h_m(p + x/k))]
     with m = p + d' x/k, d' = (1+d)/2.  Valid lower bound on P(X >= x) for any
@@ -290,59 +288,68 @@ def binomial_eq8_value(k: int, p: float, x: float, delta: float) -> float:
     return math.exp(lead) * (1.0 - math.exp(b1) - math.exp(b2))
 
 
-def _binomial_infeasible() -> BoundResult:
-    return _no_certificate("reverse_chernoff", "binomial_reverse_chernoff", {"feasible": False})
+def _log_factorial_bracket(n: int) -> tuple[float, float, float]:
+    """Robbins' bracket (lo, hi) of ln n! and the size of the operands it adds.
 
-
-def _binomial_eq8_lower(k: int, p: float, x: float) -> BoundResult:
-    """Optimize the construction over delta on (1, k(1-p)/x)."""
-    d_sup = k * (1.0 - p) / x
-    if d_sup <= 1.0 + 1e-12:
-        return _binomial_infeasible()
-    d_hi = min(d_sup * (1.0 - 1e-9), 400.0)
-    deltas = 1.0 + np.geomspace(1e-4 * (d_hi - 1.0), d_hi - 1.0, 240)
-    dp = 0.5 * (1.0 + deltas)
-    v_lead = p + deltas * x / k
-    v_mid = p + dp * x / k
-    v_one = p + x / k
-    lead = -k * _kl_np(p, v_lead)
-    b1 = -k * _kl_np(v_mid, v_lead)
-    b2 = -k * _kl_np(v_mid, v_one)
-    with np.errstate(over="ignore"):
-        bracket = 1.0 - np.exp(b1) - np.exp(b2)
-    ok = bracket > 0.0
-    log_vals = np.where(ok, lead + np.log(np.where(ok, bracket, 1.0)), -np.inf)
-
-    def log_val(d: float) -> float:
-        try:
-            v = binomial_eq8_value(k, p, x, d)
-        except DomainError:
-            return -math.inf
-        return math.log(v) if v > 0.0 else -math.inf
-
-    d_used, best_log = specfun._grid_argmax(log_val, deltas, log_vals, 60)
-    if d_used is None:
-        return _binomial_infeasible()
-    return result_from_log(best_log, "reverse_chernoff", True, "binomial_reverse_chernoff",
-                           {"delta": d_used, "delta_prime": 0.5 * (1.0 + d_used)})
-
-
-def _binomial_probed_lower(k: int, p: float, x: float) -> BoundResult:
-    """Best construction certificate at x or at any deeper probe threshold.
-
-    The tail is non-increasing, so a certificate for P(X >= x') with x' >= x
-    also lower-bounds P(X >= x); probing a fixed geometric grid of deeper
-    thresholds rescues shallow x, where the construction itself is infeasible.
+    ln n! = ln(2 pi)/2 + (n + 1/2) ln n - n + r_n with 1/(12n + 1) < r_n < 1/(12n)
+    for n >= 1 (Robbins 1955); ln 0! = 0.
     """
-    probes = [x] + [float(v) for v in k * (1.0 - p) * np.geomspace(1e-3, 0.9, 24) if v > x]
-    best = None
-    for x_probe in probes:
-        cand = _binomial_eq8_lower(k, p, x_probe)
-        if cand.certified and (best is None or cand.log_value > best.log_value):
-            best = replace(cand, params_used=dict(cand.params_used, threshold_used=x_probe))
-    if best is None:
-        return _binomial_infeasible()
-    return best
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    lead = (n + 0.5) * math.log(n)
+    base = specfun._LOG_SQRT_2PI + lead - n
+    return base + 1.0 / (12.0 * n + 1.0), base + 1.0 / (12.0 * n), specfun._LOG_SQRT_2PI + lead + n
+
+
+def _log_geometric_sum(a: float, n: int) -> float:
+    """ln(1 + e^a + ... + e^((n - 1) a)) without overflow."""
+    if a == 0.0:
+        return math.log(n)
+    b = -abs(a)
+    return (n - 1) * max(a, 0.0) + math.log(math.expm1(n * b) / math.expm1(b))
+
+
+def _binomial_atom_lower(k: int, log_p: float, log_q: float, m: int) -> BoundResult:
+    """P(Bin(k, p) >= m) >= pmf(m) (1 - r^J) / (1 - r), r = pmf(m + J) / pmf(m + J - 1).
+
+    The pmf is log-concave, so pmf(m + j) >= pmf(m) r^j for j < J; J = 1 is the
+    atom pmf(m) alone, the method-of-types bound, and at m = k it is the exact
+    tail p^k.  ln pmf(m) takes Robbins' lower end for ln k! and upper ends for
+    ln m! and ln (k - m)!; r = (k - m - J + 1) p / ((m + J) q) needs no factorial.
+    The best J of 1, 2, 4, ... <= k - m is kept, and the log is lowered by
+    _RC_ULPS ulps of the magnitudes of its operands.
+    """
+    log_k, log_m, log_rest = (_log_factorial_bracket(n) for n in (k, m, k - m))
+    log_comb, size = 0.0, 0.0  # C(k, k) = 1
+    if m < k:
+        log_comb = log_k[0] - log_m[1] - log_rest[1]
+        size = log_k[2] + log_m[2] + log_rest[2]
+    log_pmf = log_comb + m * log_p + (k - m) * log_q
+    size += m * abs(log_p) + (k - m) * abs(log_q) + 1.0
+    ulps = _RC_ULPS * _EPS
+    best, best_j = 0.0, 1
+    j = 2
+    while j <= k - m:
+        log_a, log_b = math.log(k - m - j + 1), math.log(m + j)
+        log_s = _log_geometric_sum(log_a - log_b + log_p - log_q, j)
+        err = j * (log_a + log_b + abs(log_p) + abs(log_q)) + abs(log_s)
+        if log_s - ulps * err > best:
+            best, best_j = log_s - ulps * err, j
+        j *= 2
+    log_value = log_pmf - ulps * size + best
+    return result_from_log(log_value, "binomial_atom", True, "binomial_atom",
+                           {"m": m, "J": best_j})
+
+
+_LOG_HALF = -math.log(2.0)
+
+
+def _binomial_lower(spec: Binomial, side: Side, x: float) -> BoundResult:
+    log_p, log_q = math.log(spec.p), math.log1p(-spec.p)
+    if side is Side.LOWER:  # the lower tail counts failures, Bin(k, 1 - p)
+        log_p, log_q = log_q, log_p
+    return _binomial_atom_lower(spec.k, log_p, log_q,
+                                oracle._binom_index(spec.k, spec.k * spec.p, side, x))
 
 
 def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
@@ -491,9 +498,7 @@ _BOUNDS: dict[type, _Bounds] = {
                                   "k h_p(p - x/k)"),
                     f"k(1-p) + x >= 1 and x <= kp/beta with beta = {_WINDOW_BETA:g}",
                     lambda s, x: s.k * (1.0 - s.p) + x >= 1.0 and x <= s.k * s.p / _WINDOW_BETA)),
-        special=_binomial_region,
-        numeric=lambda s, side, x: _binomial_probed_lower(
-            s.k, s.p if side is Side.UPPER else 1.0 - s.p, max(x, 1e-9)),
+        special=_binomial_region, numeric=_binomial_lower,
         other_formulas=(("upper", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "kp + x < 1"),
                         ("lower", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "k(1-p) + x < 1"))),
     Poisson: _Bounds(
@@ -506,7 +511,8 @@ _BOUNDS: dict[type, _Bounds] = {
         # lower: (e^-1/2) t^2 <= e^-t - 1 + t <= t^2/2 for t <= 1
         sandwich=lambda s, side: _per_side(side, (0.5, 0.5 * math.e, 1.0, 1.0, s.lam, 1.0),
                                            (0.5 * math.exp(-1.0), 0.5, 1.0, 1.0, s.lam, 1.0)),
-        other_formulas=(("upper", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "x + lambda < 1"),)),
+        other_formulas=(("upper", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "x + lambda < 1"),
+                        ("lower", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "lambda - x < 1"))),
     IrwinHall: _Bounds(
         upper=_irwin_hall_upper, cite="kl_chernoff_symmetric",
         rate=(_IRWIN_HALL_RATE, _IRWIN_HALL_RATE),
@@ -517,8 +523,9 @@ _BOUNDS: dict[type, _Bounds] = {
         cite="rademacher_subgaussian", rate=(_K_OVER_BETA_RATE, _K_OVER_BETA_RATE),
         special=lambda s, side, x: _zero_result("rademacher_support") if x > s.k else None,
         sandwich=lambda s, side: MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(s.k), 1.0),
-        # X = 2B - k: right tail at x is Binomial(k, 1/2) right tail at x/2
-        numeric=lambda s, side, x: _binomial_probed_lower(s.k, 0.5, max(0.5 * x, 1e-9))),
+        # X = 2B - k: either tail at x is the Binomial(k, 1/2) right tail at x/2
+        numeric=lambda s, side, x: _binomial_atom_lower(
+            s.k, _LOG_HALF, _LOG_HALF, oracle._binom_index(s.k, 0.5 * s.k, Side.UPPER, 0.5 * x))),
 }
 
 
@@ -553,7 +560,7 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
     side = Side(side)
     entry = _bounds(spec)
     region = entry.special(spec, side, x)
-    if region is not None and region.value == 0.0:
+    if region is not None and region.log_value == -math.inf:
         return region
     return entry.upper(spec, side, x, tier, entry.cite)
 

@@ -145,15 +145,22 @@ def binom_upper_tail(k: int, p: float, m: int) -> tuple[float, float]:
     return _binom_sf(k, math.log(p), math.log1p(-p), m)
 
 
+def _binom_index(k: int, mean: float, side: Side, x: float) -> int:
+    """The count m with tail = P(C >= m) for a count C of k trials with mean ``mean``:
+    the successes Y on the upper side, P(Y >= mean + x), and the failures k - Y on
+    the lower side, P(Y <= mean - x); m > k where the tail is empty."""
+    if side is Side.UPPER:
+        return _ceil_snap(mean + x)
+    return k - _floor_snap(mean - x)
+
+
 def _binom_tail(spec: Binomial, side: Side, x: float) -> tuple[float, float]:
     k, p = spec.k, spec.p
+    m = _binom_index(k, k * p, side, x)
     if side is Side.UPPER:
-        return binom_upper_tail(k, p, _ceil_snap(k * p + x))
-    t = _snap(k * p - x)
-    if t < 0.0:
-        return 0.0, -math.inf
-    # P(Y <= j) = P(k - Y >= k - j) with k - Y ~ Bin(k, 1-p), whose logs are exact
-    return _binom_sf(k, math.log1p(-p), math.log(p), k - _floor_snap(t))
+        return binom_upper_tail(k, p, m)
+    # k - Y ~ Bin(k, 1-p), whose logs are exact
+    return _binom_sf(k, math.log1p(-p), math.log(p), m)
 
 
 def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
@@ -320,7 +327,7 @@ def _beta_tail(spec: Beta, side: Side, x: float):
 
 def _rademacher_tail(spec: RademacherSum, side: Side, x: float):
     # X = 2B - k with B ~ Bin(k, 1/2); both sides reduce to the same index
-    m = _ceil_snap(0.5 * (spec.k + x))
+    m = _binom_index(spec.k, 0.5 * spec.k, Side.UPPER, 0.5 * x)
     return (*binom_upper_tail(spec.k, 0.5, m), ExactError(1e-14))
 
 

@@ -301,7 +301,7 @@ def test_poisson_limit_domain():
 
 def test_mgf_sandwiches_actually_bracket():
     # numeric check that each family sandwich brackets the true log-MGF
-    # (beta has no MGF; binomial is served by its dedicated construction)
+    # (beta has no MGF; binomial has no sandwich, its lower tail is the atom certificate)
     for spec in FAMILIES:
         if isinstance(spec, (Beta, Binomial)):
             continue

@@ -19,8 +19,7 @@ import pytest
 import tailbound
 from tailbound import specfun as sf
 from tailbound.dist_bounds import (
-    _BOUNDS, _beta_split_lower, _binomial_eq8_lower, _engine_lower, _kl_np, binomial_eq8_value,
-    mgf_sandwich,
+    _BOUNDS, _beta_split_lower, _engine_lower, mgf_sandwich,
 )
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum,
@@ -143,64 +142,6 @@ def test_pz_lower_matches_the_replaced_loop():
         n_infeasible += not got.certified
         n_forced += forced.certified
     assert n_infeasible > 0 and n_forced > 0  # both outcomes were exercised
-
-
-# the binomial construction against the search it replaced ------------------------
-
-def _ref_binomial_eq8_lower(k, p, x):
-    """The construction's hand-written search before the shared helper, with a
-    flag that says whether the refined delta tied the grid point exactly."""
-    infeasible = BoundResult(0.0, -math.inf, "reverse_chernoff", False,
-                             "binomial_reverse_chernoff", {"feasible": False})
-    d_sup = k * (1.0 - p) / x
-    if d_sup <= 1.0 + 1e-12:
-        return infeasible, False
-    d_hi = min(d_sup * (1.0 - 1e-9), 400.0)
-    deltas = 1.0 + np.geomspace(1e-4 * (d_hi - 1.0), d_hi - 1.0, 240)
-    dp = 0.5 * (1.0 + deltas)
-    v_lead, v_mid, v_one = p + deltas * x / k, p + dp * x / k, p + x / k
-    lead = -k * _kl_np(p, v_lead)
-    b1 = -k * _kl_np(v_mid, v_lead)
-    b2 = -k * _kl_np(v_mid, v_one)
-    with np.errstate(over="ignore"):
-        bracket = 1.0 - np.exp(b1) - np.exp(b2)
-    ok = bracket > 0.0
-    if not ok.any():
-        return infeasible, False
-    log_vals = np.where(ok, lead + np.log(np.where(ok, bracket, 1.0)), -np.inf)
-    i = int(np.argmax(log_vals))
-
-    def log_val(d):
-        try:
-            v = binomial_eq8_value(k, p, x, d)
-        except DomainError:
-            return -math.inf
-        return math.log(v) if v > 0.0 else -math.inf
-
-    best_d = sf._golden_argmax(log_val, float(deltas[max(0, i - 1)]),
-                               float(deltas[min(len(deltas) - 1, i + 1)]), 60)
-    best_log = max(float(log_vals[i]), log_val(best_d))
-    d_used = best_d if log_val(best_d) >= float(log_vals[i]) else float(deltas[i])
-    tie = log_val(best_d) == float(log_vals[i])
-    return result_from_log(best_log, "reverse_chernoff", True, "binomial_reverse_chernoff",
-                           {"delta": d_used, "delta_prime": 0.5 * (1.0 + d_used)}), tie
-
-
-def test_binomial_construction_matches_the_replaced_search():
-    rng = random.Random(8)
-    outcomes = set()
-    for _ in range(150):
-        k = rng.choice([3, 10, 25, 200, 1000, 50_000])
-        p = rng.choice([0.01, 0.1, 0.3, 0.5, 0.9])
-        x = rng.choice([rng.uniform(0.001, 0.2), rng.uniform(0.2, 1.1)]) * k * (1.0 - p)
-        got = _binomial_eq8_lower(k, p, x)
-        want, tie = _ref_binomial_eq8_lower(k, p, x)
-        outcomes.add(got.certified)
-        if tie:  # the one allowed difference: the grid delta is kept on an exact tie
-            assert (got.value, got.log_value) == (want.value, want.log_value)
-        else:
-            assert got == want, (k, p, x)
-    assert outcomes == {True, False}
 
 
 # the beta split against the loop it replaced ----------------------------------------
