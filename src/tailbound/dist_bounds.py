@@ -138,7 +138,7 @@ def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
     if side is Side.LOWER and x > spec.lam:
         return _zero_result("poisson_support")
     if side is Side.LOWER and oracle._floor_snap(spec.lam - x) == 0:
-        return BoundResult(math.exp(-spec.lam), -spec.lam, "boundary_exact", True,
+        return BoundResult(*oracle.poisson_cdf_int(spec.lam, 0), "boundary_exact", True,
                            _POISSON_BOUNDARY, {"formula": "exp(-lambda)"})
     return None
 

@@ -174,9 +174,14 @@ def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
 
 
 def poisson_cdf_int(lam: float, j: int) -> tuple[float, float]:
-    """P(Poisson(lam) <= j) as (value, log_value) via P(Gamma(j+1) >= lam)."""
+    """P(Poisson(lam) <= j) as (value, log_value) via P(Gamma(j+1) >= lam).
+
+    Shared with the bound catalog, whose boundary value P(X <= 0) = e^-lam it gives.
+    """
     if j < 0:
         return 0.0, -math.inf
+    if j == 0:
+        return math.exp(-lam), -lam
     return specfun.inc_gamma(j + 1, lam)[2:]
 
 

@@ -103,6 +103,19 @@ def test_poisson_boundary_lower():
     assert abs(r.value - 0.3934693402873666) < 1e-12
 
 
+def test_poisson_lower_boundary_is_the_exact_tail():
+    # 0 <= lambda - x < 1 leaves the single atom P(X <= 0) = e^-lambda
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lam = float(np.exp(rng.uniform(np.log(0.01), np.log(2000.0))))
+        x = max(0.0, lam - float(rng.uniform(0.0, 1.0)))
+        lo = lower_bound(Poisson(lam), Side.LOWER, x, tier=CLOSED_FORM)
+        ex = exact_tail(Poisson(lam), Side.LOWER, x)
+        assert lo.method == "boundary_exact" and lo.certified
+        assert (lo.value, lo.log_value) == (ex.value, ex.log_value) == (math.exp(-lam), -lam)
+        assert upper_bound(Poisson(lam), Side.LOWER, x).log_value >= -lam
+
+
 def test_binomial_boundary_bit_consistent():
     rng = np.random.default_rng(77)
     for _ in range(50):
