@@ -288,68 +288,37 @@ def binomial_eq8_value(k: int, p: float, x: float, delta: float) -> float:
     return math.exp(lead) * (1.0 - math.exp(b1) - math.exp(b2))
 
 
-def _log_factorial_bracket(n: int) -> tuple[float, float, float]:
-    """Robbins' bracket (lo, hi) of ln n! and the size of the operands it adds.
-
-    ln n! = ln(2 pi)/2 + (n + 1/2) ln n - n + r_n with 1/(12n + 1) < r_n < 1/(12n)
-    for n >= 1 (Robbins 1955); ln 0! = 0.
-    """
-    if n == 0:
-        return 0.0, 0.0, 0.0
-    lead = (n + 0.5) * math.log(n)
-    base = specfun._LOG_SQRT_2PI + lead - n
-    return base + 1.0 / (12.0 * n + 1.0), base + 1.0 / (12.0 * n), specfun._LOG_SQRT_2PI + lead + n
-
-
-def _log_geometric_sum(a: float, n: int) -> float:
-    """ln(1 + e^a + ... + e^((n - 1) a)) without overflow."""
-    if a == 0.0:
-        return math.log(n)
-    b = -abs(a)
-    return (n - 1) * max(a, 0.0) + math.log(math.expm1(n * b) / math.expm1(b))
-
-
 def _binomial_atom_lower(k: int, log_p: float, log_q: float, m: int) -> BoundResult:
     """P(Bin(k, p) >= m) >= pmf(m) (1 - r^J) / (1 - r), r = pmf(m + J) / pmf(m + J - 1).
 
     The pmf is log-concave, so pmf(m + j) >= pmf(m) r^j for j < J; J = 1 is the
     atom pmf(m) alone, the method-of-types bound, and at m = k it is the exact
     tail p^k.  ln pmf(m) takes Robbins' lower end for ln k! and upper ends for
-    ln m! and ln (k - m)!; r = (k - m - J + 1) p / ((m + J) q) needs no factorial.
-    The best J of 1, 2, 4, ... <= k - m is kept, and the log is lowered by
-    _RC_ULPS ulps of the magnitudes of its operands.
+    ln m! and ln (k - m)!: S(n) + 1/(12n + 1) < ln n! < S(n) + 1/(12n) for n >= 1,
+    S(n) = ln(2 pi)/2 + (n + 1/2) ln n - n (Robbins 1955).  r = (k - m - J + 1) p /
+    ((m + J) q) needs no factorial, and r < 1 as m is at least the mean kp.  The
+    best J of 1, 2, 4, ... <= k - m is kept; each log is lowered by _RC_ULPS ulps
+    of the magnitudes of its operands.
     """
-    log_k, log_m, log_rest = (_log_factorial_bracket(n) for n in (k, m, k - m))
-    log_comb, size = 0.0, 0.0  # C(k, k) = 1
-    if m < k:
-        log_comb = log_k[0] - log_m[1] - log_rest[1]
-        size = log_k[2] + log_m[2] + log_rest[2]
-    log_pmf = log_comb + m * log_p + (k - m) * log_q
-    size += m * abs(log_p) + (k - m) * abs(log_q) + 1.0
     ulps = _RC_ULPS * _EPS
-    best, best_j = 0.0, 1
-    j = 2
+    log_pmf = m * log_p + (k - m) * log_q
+    size = m * abs(log_p) + (k - m) * abs(log_q) + 1.0
+    if m < k:  # C(k, k) = 1; the -n of the three S(n) cancel
+        lead = [(n + 0.5) * math.log(n) for n in (k, m, k - m)]
+        log_pmf += (lead[0] - lead[1] - lead[2] - specfun._LOG_SQRT_2PI
+                    + 1.0 / (12 * k + 1) - 1.0 / (12 * m) - 1.0 / (12 * (k - m)))
+        size += sum(lead)
+    best, best_j, j = 0.0, 1, 2
     while j <= k - m:
         log_a, log_b = math.log(k - m - j + 1), math.log(m + j)
-        log_s = _log_geometric_sum(log_a - log_b + log_p - log_q, j)
-        err = j * (log_a + log_b + abs(log_p) + abs(log_q)) + abs(log_s)
-        if log_s - ulps * err > best:
-            best, best_j = log_s - ulps * err, j
+        log_r = log_a - log_b + log_p - log_q
+        log_s = math.log(math.expm1(j * log_r) / math.expm1(log_r))
+        log_s -= ulps * (j * (log_a + log_b + abs(log_p) + abs(log_q)) + abs(log_s))
+        if log_s > best:
+            best, best_j = log_s, j
         j *= 2
-    log_value = log_pmf - ulps * size + best
-    return result_from_log(log_value, "binomial_atom", True, "binomial_atom",
-                           {"m": m, "J": best_j})
-
-
-_LOG_HALF = -math.log(2.0)
-
-
-def _binomial_lower(spec: Binomial, side: Side, x: float) -> BoundResult:
-    log_p, log_q = math.log(spec.p), math.log1p(-spec.p)
-    if side is Side.LOWER:  # the lower tail counts failures, Bin(k, 1 - p)
-        log_p, log_q = log_q, log_p
-    return _binomial_atom_lower(spec.k, log_p, log_q,
-                                oracle._binom_index(spec.k, spec.k * spec.p, side, x))
+    return result_from_log(log_pmf - ulps * size + best, "binomial_atom", True,
+                           "binomial_atom", {"m": m, "J": best_j})
 
 
 def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
@@ -498,7 +467,9 @@ _BOUNDS: dict[type, _Bounds] = {
                                   "k h_p(p - x/k)"),
                     f"k(1-p) + x >= 1 and x <= kp/beta with beta = {_WINDOW_BETA:g}",
                     lambda s, x: s.k * (1.0 - s.p) + x >= 1.0 and x <= s.k * s.p / _WINDOW_BETA)),
-        special=_binomial_region, numeric=_binomial_lower,
+        special=_binomial_region,
+        numeric=lambda s, side, x: _binomial_atom_lower(
+            s.k, *oracle._binom_count(s.k, s.p, side, x)),
         other_formulas=(("upper", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "kp + x < 1"),
                         ("lower", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "k(1-p) + x < 1"))),
     Poisson: _Bounds(
@@ -525,7 +496,7 @@ _BOUNDS: dict[type, _Bounds] = {
         sandwich=lambda s, side: MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(s.k), 1.0),
         # X = 2B - k: either tail at x is the Binomial(k, 1/2) right tail at x/2
         numeric=lambda s, side, x: _binomial_atom_lower(
-            s.k, _LOG_HALF, _LOG_HALF, oracle._binom_index(s.k, 0.5 * s.k, Side.UPPER, 0.5 * x))),
+            s.k, *oracle._binom_count(s.k, 0.5, Side.UPPER, 0.5 * x))),
 }
 
 

@@ -145,22 +145,14 @@ def binom_upper_tail(k: int, p: float, m: int) -> tuple[float, float]:
     return _binom_sf(k, math.log(p), math.log1p(-p), m)
 
 
-def _binom_index(k: int, mean: float, side: Side, x: float) -> int:
-    """The count m with tail = P(C >= m) for a count C of k trials with mean ``mean``:
-    the successes Y on the upper side, P(Y >= mean + x), and the failures k - Y on
-    the lower side, P(Y <= mean - x); m > k where the tail is empty."""
+def _binom_count(k: int, p: float, side: Side, x: float) -> tuple[float, float, int]:
+    """(ln p', ln(1 - p'), m) with tail = P(Bin(k, p') >= m) for Y ~ Bin(k, p): the
+    successes Y on the upper side, P(Y >= kp + x), and the failures k - Y ~ Bin(k, 1 - p)
+    on the lower side, P(Y <= kp - x); m > k where the tail is empty."""
+    log_p, log_q = math.log(p), math.log1p(-p)
     if side is Side.UPPER:
-        return _ceil_snap(mean + x)
-    return k - _floor_snap(mean - x)
-
-
-def _binom_tail(spec: Binomial, side: Side, x: float) -> tuple[float, float]:
-    k, p = spec.k, spec.p
-    m = _binom_index(k, k * p, side, x)
-    if side is Side.UPPER:
-        return binom_upper_tail(k, p, m)
-    # k - Y ~ Bin(k, 1-p), whose logs are exact
-    return _binom_sf(k, math.log1p(-p), math.log(p), m)
+        return log_p, log_q, _ceil_snap(k * p + x)
+    return log_q, log_p, k - _floor_snap(k * p - x)
 
 
 def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
@@ -330,12 +322,6 @@ def _beta_tail(spec: Beta, side: Side, x: float):
     return (*specfun.inc_beta(a, b, z), ExactError(1e-12))
 
 
-def _rademacher_tail(spec: RademacherSum, side: Side, x: float):
-    # X = 2B - k with B ~ Bin(k, 1/2); both sides reduce to the same index
-    m = _binom_index(spec.k, 0.5 * spec.k, Side.UPPER, 0.5 * x)
-    return (*binom_upper_tail(spec.k, 0.5, m), ExactError(1e-14))
-
-
 def _irwin_hall_tail(spec: IrwinHall, side: Side, x: float):
     # symmetric: both tails equal the CDF at k/2 - x
     v = irwin_hall_cdf(spec.k, 0.5 * spec.k - x)
@@ -357,9 +343,12 @@ _ORACLES: dict[type, _Oracle] = {
     ChiSq: _Oracle(lambda s, side, x: (*_gamma_tail(0.5 * s.k, side, 0.5 * x),
                                        ExactError(1e-12))),
     Beta: _Oracle(_beta_tail),
-    Binomial: _Oracle(lambda s, side, x: (*_binom_tail(s, side, x), ExactError(1e-14))),
+    Binomial: _Oracle(lambda s, side, x: (*_binom_sf(s.k, *_binom_count(s.k, s.p, side, x)),
+                                          ExactError(1e-14))),
     Poisson: _Oracle(lambda s, side, x: (*_poisson_tail(s.lam, side, x), ExactError(1e-12))),
-    RademacherSum: _Oracle(_rademacher_tail),
+    # X = 2B - k with B ~ Bin(k, 1/2): either tail at x is B's upper tail at x/2
+    RademacherSum: _Oracle(lambda s, side, x: (
+        *_binom_sf(s.k, *_binom_count(s.k, 0.5, Side.UPPER, 0.5 * x)), ExactError(1e-14))),
     IrwinHall: _Oracle(_irwin_hall_tail,
                        monte_carlo=lambda s: s.k > _IRWIN_HALL_EXACT_MAX_K),
     NoncentralChiSq: _Oracle(_nc_chisq_tail),
