@@ -95,7 +95,7 @@ def test_every_atom_certificate_replays_below_the_exact_tail():
     assert n_atoms > 800 and n_top > 100 and n_extended > 200
 
 
-def test_the_index_is_the_oracles():
+def test_the_atom_sits_at_the_first_count_in_the_tail():
     # the tail at a threshold just past a support point drops to the next atom
     spec = Binomial(10, 0.5)
     assert lower_bound(spec, Side.UPPER, 1.0).params_used["m"] == 6
