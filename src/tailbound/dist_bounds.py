@@ -24,7 +24,7 @@ from . import oracle, specfun
 from .dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq,
     Normal, Poisson, RademacherSum, Side, WeightedChiSq,
-    _FAMILY, family_name, log_mgf, mean_shift, support_extent, variance,
+    _FAMILY, family_name, log_mgf, mean_shift, variance,
 )
 from .engine_lower import _EPS, _RC_ULPS, pz_lower, reverse_chernoff_lower
 from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
@@ -118,7 +118,7 @@ def _beta_region(spec: Beta, side: Side, x: float) -> BoundResult | None:
 
 
 def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None:
-    if x > support_extent(spec, side):
+    if oracle._binom_count(spec.k, spec.p, side, x)[2] > spec.k:  # the oracle's snapped count
         return _zero_result("binomial_support")
     q = spec.p if side is Side.UPPER else 1.0 - spec.p  # success rate of the tail's count
     if spec.k * q + x < 1.0:
@@ -135,7 +135,7 @@ def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
         lv = math.log1p(-math.exp(-spec.lam))
         return BoundResult(v, lv, "boundary_exact", True, _POISSON_BOUNDARY,
                            {"formula": "1-exp(-lambda)"})
-    if side is Side.LOWER and x > spec.lam:
+    if side is Side.LOWER and oracle._snap(spec.lam - x) < 0.0:
         return _zero_result("poisson_support")
     if side is Side.LOWER and oracle._floor_snap(spec.lam - x) == 0:
         return BoundResult(*oracle.poisson_cdf_int(spec.lam, 0), "boundary_exact", True,
@@ -226,7 +226,8 @@ def _binomial_upper(spec: Binomial, side: Side, x: float, tier, cite: str) -> Bo
 
 
 def _poisson_upper(spec: Poisson, side: Side, x: float, tier, cite: str) -> BoundResult:
-    u = x / spec.lam if side is Side.UPPER else -x / spec.lam
+    # the lower side's x may pass lambda by the oracle's snap tolerance
+    u = x / spec.lam if side is Side.UPPER else max(-1.0, -x / spec.lam)
     return _closed(-bennett_rate(spec.lam, u), cite)
 
 
@@ -492,7 +493,9 @@ _BOUNDS: dict[type, _Bounds] = {
     RademacherSum: _Bounds(
         upper=lambda s, side, x, tier, cite: _closed(-x * x / (4.0 * s.k), cite),
         cite="rademacher_subgaussian", rate=(_K_OVER_BETA_RATE, _K_OVER_BETA_RATE),
-        special=lambda s, side, x: _zero_result("rademacher_support") if x > s.k else None,
+        special=lambda s, side, x: (
+            _zero_result("rademacher_support")
+            if oracle._binom_count(s.k, 0.5, Side.UPPER, 0.5 * x)[2] > s.k else None),
         sandwich=lambda s, side: MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(s.k), 1.0),
         # X = 2B - k: either tail at x is the Binomial(k, 1/2) right tail at x/2
         numeric=lambda s, side, x: _binomial_atom_lower(

@@ -25,7 +25,7 @@ from .dist_model import (
 from .engine_upper import BoundResult
 from .errors import DomainError, WindowError
 from .oracle import TailEstimate, _mc_estimate, _oracle, exact_tail
-from .specfun import _bisect
+from .specfun import _bracket_search
 
 DEFAULT_QUANTILES = (0.5, 0.25, 0.1, 0.05, 0.01, 1e-3, 1e-5, 1e-8)
 
@@ -129,9 +129,13 @@ def _discrete_support_x(spec: DistSpec, side: Side):
 def bisect_quantile(spec: DistSpec, side: Side, q: float, seed: int = 0) -> float:
     """Centered threshold x whose exact tail is q.
 
-    Continuous families bisect the analytic tail; discrete families return
-    the attained support point whose tail is nearest q in log space; Monte
-    Carlo families use the empirical quantile of 10**6 draws from ``seed``.
+    Continuous families search the analytic tail for the adjacent doubles
+    where ``tail(x) > q`` turns false (``specfun._bracket_search`` on the log
+    tail, for at most 90 tests), and return 0 where the tail at 0 is q within
+    the oracle's error, as at the median of a symmetric family.  Discrete
+    families return the attained support point whose tail is nearest q in log
+    space; Monte Carlo families use the empirical quantile of 10**6 draws from
+    ``seed``.
     """
     x, _ = _bisect_quantile_flagged(spec, side, q, seed=seed)
     return x
@@ -157,19 +161,30 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
     if _family(spec).support_x is not None:
         return _nearest_support_x(spec, side, math.log(q))
 
-    def tail(x: float) -> float:
-        return exact_tail(spec, side, x).value
+    log_q = math.log(q)
 
-    if tail(0.0) < q:
+    def probe(x: float) -> tuple[bool, float]:
+        t = exact_tail(spec, side, x)
+        return t.value > q, t.log_value - log_q
+
+    at0 = exact_tail(spec, side, 0.0)
+    ci_lo, ci_hi = at0.ci()
+    if ci_lo <= q <= ci_hi:  # the tail at 0 is q within the oracle's error: a median
+        return 0.0, None
+    if at0.value < q:
         return 0.0, "unattainable"
-    hi = support_extent(spec, side)
+    lo, d_lo = 0.0, at0.log_value - log_q
+    hi, d_hi = support_extent(spec, side), math.nan
     if not math.isfinite(hi):
         hi = math.sqrt(variance(spec))
         for _ in range(200):
-            if tail(hi) < q:
+            below, d = probe(hi)
+            if not below:
+                d_hi = d
                 break
+            lo, d_lo = hi, d  # a doubled point still above q is the bracket's lower end
             hi *= 2.0
-    return _bisect(lambda x: tail(x) > q, 0.0, hi, 90), None
+    return _bracket_search(probe, lo, hi, 90, d_lo, d_hi), None
 
 
 def _nearest_support_x(spec, side, log_q):

@@ -385,8 +385,15 @@ def exact_tail(
 
 
 def _beta_ppf(q: float, a: float, b: float) -> float:
-    """Inverse of the regularized incomplete beta, by bisection."""
-    return specfun._bisect(lambda t: specfun.reg_inc_beta(a, b, t) < q, 0.0, 1.0, 100)
+    """Inverse of the regularized incomplete beta: the adjacent doubles where
+    ``reg_inc_beta(a, b, t) < q`` turns false, searched on log q - log I_t(a, b)
+    for at most 100 tests; at t = 1 that distance is log q."""
+    log_q = math.log(q)
+
+    def probe(t: float) -> tuple[bool, float]:
+        i, log_i = specfun.inc_beta(a, b, t)
+        return i < q, log_q - log_i
+    return specfun._bracket_search(probe, 0.0, 1.0, 100, d_hi=log_q)
 
 
 def clopper_pearson(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -10,8 +10,9 @@ The single-value functions are views of these pairs.
 
 Scalar searches: ``_golden_min`` (golden section to a tolerance),
 ``_golden_argmax`` (fixed-step golden section), ``_grid_argmax`` (a grid
-maximum refined by ``_golden_argmax``) and ``_bisect`` (bisection for at most a
-step count, ended once the midpoint rounds onto an end of the bracket).
+maximum refined by ``_golden_argmax``) and ``_bracket_search`` (Illinois regula
+falsi on a signed log distance with a bisection safeguard, for at most a step
+count, ended once the midpoint rounds onto an end of the bracket).
 """
 
 from __future__ import annotations
@@ -408,21 +409,53 @@ def _grid_argmax(log_f, grid, logs, iters: int) -> tuple[float | None, float]:
     return float(grid[i]), best
 
 
-def _bisect(below, lo: float, hi: float, iters: int) -> float:
-    """Midpoint of the bracket left after ``iters`` bisection steps on
-    [lo, hi], where ``below(t)`` says the sought point lies above t.
+_CLAMP_ULPS = 4  # an interpolated point stays this many ulps inside the bracket
 
-    Stops without testing a midpoint that rounds onto an end of the bracket:
-    whatever ``below`` says there, the bracket then stays put or shrinks onto
-    that midpoint, and so does every later step, so the result of all
-    ``iters`` steps is that midpoint.
+
+def _bracket_search(probe, lo: float, hi: float, iters: int,
+                    d_lo: float = math.nan, d_hi: float = math.nan) -> float:
+    """Midpoint of the bracket left after at most ``iters`` tests on [lo, hi].
+
+    ``probe(t)`` returns (below, d): ``below`` says the sought point lies above
+    t and decides which end of the bracket moves to t; d is a signed log
+    distance to the sought point, positive where ``below`` holds.  d_lo and
+    d_hi are the distances at the ends, when the caller knows them; the ends
+    themselves are never tested.
+
+    The next point is the Illinois regula falsi point of the ends' distances
+    (Dowell & Jarratt 1971): the distance kept at one end is halved whenever
+    the other end moves twice in a row.  A distance of the wrong sign for its
+    end counts as 0, since the crossing is then within rounding of that end.
+    The point is clamped ``_CLAMP_ULPS`` ulps inside the bracket.  The midpoint
+    is tested instead while either distance is not finite, and after two
+    interpolated steps in a row that each failed to halve the bracket.  The
+    search stops without testing a midpoint that rounds onto an end, so for a
+    monotone ``below`` it ends on the adjacent doubles around the crossing and
+    returns the midpoint that bisection returns there.
     """
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    slow = 0   # interpolated steps in a row that failed to halve the bracket
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if below(mid):
-            lo = mid
+        t = mid
+        if slow < 2 and math.isfinite(d_lo) and math.isfinite(d_hi):
+            a, b = max(d_lo, 0.0), min(d_hi, 0.0)
+            if a > b:
+                t = lo + (hi - lo) * (a / (a - b))
+                t = min(max(t, lo + _CLAMP_ULPS * math.ulp(lo)), hi - _CLAMP_ULPS * math.ulp(hi))
+                if not lo < t < hi:
+                    t = mid
+        width = hi - lo
+        below, d = probe(t)
+        if below:
+            if moved > 0:
+                d_hi *= 0.5
+            lo, d_lo, moved = t, d, 1
         else:
-            hi = mid
+            if moved < 0:
+                d_lo *= 0.5
+            hi, d_hi, moved = t, d, -1
+        slow = 0 if t == mid or hi - lo <= 0.5 * width else slow + 1
     return 0.5 * (lo + hi)

@@ -159,6 +159,21 @@ def test_binomial_bounds_hold_at_the_last_support_point():
     assert n_past_product > 0  # the ulp case was drawn
 
 
+@pytest.mark.parametrize("spec,side,x", [
+    (Binomial(25, 0.3), Side.UPPER, 17.5 + 1e-12),
+    (Binomial(25, 0.3), Side.LOWER, 7.5 + 1e-12),
+    (RademacherSum(20), Side.UPPER, 20.0 + 1e-12),
+    (Poisson(3.0), Side.LOWER, 3.0 + 1e-12),
+], ids=repr)
+def test_bounds_hold_within_the_snap_tolerance_past_the_support_edge(spec, side, x):
+    # the oracle snaps x onto the last support point, so the zero regions
+    # read the same snapped count
+    exact = exact_tail(spec, side, x)
+    assert exact.log_value > -math.inf
+    lower, upper = lower_bound(spec, side, x), upper_bound(spec, side, x)
+    assert lower.log_value <= exact.log_value <= upper.log_value
+
+
 def test_gamma_small_shape_bracket_example():
     a = 0.5
     lo = lower_bound(Gamma(a), Side.UPPER, 0.0)

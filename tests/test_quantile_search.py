@@ -1,10 +1,14 @@
 """Quantile mapping makes few exact-tail calls and returns the same thresholds.
 
-``specfun._bisect`` stops once its bracket stops moving and discrete families
-binary-search the support index.  Each is checked against a test-side copy of
-the code it replaced, and the number of exact tails per query is held to a
-budget.  The same checks run on random inputs in
-``test_quantile_search_props.py`` when hypothesis is installed.
+``specfun._bracket_search`` steps by Illinois regula falsi on a signed log
+distance, with a bisection safeguard, and stops once its bracket stops
+moving; discrete families binary-search the support index.  Each is checked
+against a test-side copy of the code it replaced: on step predicates whose
+distance carries no information the search is that bisection, bit for bit,
+and on any monotone predicate it ends on the same adjacent doubles.  The
+number of exact tails per query is held to a budget.  The same checks run on
+random inputs in ``test_quantile_search_props.py`` when hypothesis is
+installed.
 """
 
 import math
@@ -12,12 +16,12 @@ import sys
 
 import pytest
 
-from tailbound import harness
+from tailbound import harness, oracle
 from tailbound import specfun as sf
 from tailbound.cli import main
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson,
-    RademacherSum, Side,
+    RademacherSum, Side, support_extent, variance,
 )
 from tailbound.errors import DomainError
 from tailbound.oracle import ExactError, TailEstimate
@@ -42,6 +46,43 @@ def fixed_step_bisect(below, lo, hi, iters):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisection_converges(below, lo, hi, iters):
+    """Whether the fixed-step loop reaches a bracket whose midpoint rounds onto an end."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return True
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) in (lo, hi)
+
+
+def is_crossing(below, x):
+    """x is one of the adjacent doubles where ``below`` turns false."""
+    up, down = math.nextafter(x, math.inf), math.nextafter(x, -math.inf)
+    return (below(x) and not below(up)) or (below(down) and not below(x))
+
+
+def fixed_step_quantile(spec, side, q):
+    """The continuous quantile mapping before the bracketed search: bisect
+    ``tail(x) > q`` on [0, hi] for 90 steps, hi the support end or the first
+    doubling from one standard deviation whose tail is below q."""
+    def tail(x):
+        return harness.exact_tail(spec, side, x).value
+    if tail(0.0) < q:
+        return 0.0, "unattainable"
+    hi = support_extent(spec, side)
+    if not math.isfinite(hi):
+        hi = math.sqrt(variance(spec))
+        for _ in range(200):
+            if tail(hi) < q:
+                break
+            hi *= 2.0
+    return fixed_step_bisect(lambda x: tail(x) > q, 0.0, hi, 90), None
 
 
 def support_scan(spec, side, q):
@@ -71,19 +112,28 @@ def bits(result):
 
 
 def check_bisect(lo, hi, step, closed, iters):
-    """``_bisect`` on the step predicate at ``step`` ("lo", "hi" or a fraction of
-    the bracket) equals the fixed-step loop, in at most ``iters`` tests."""
+    """``_bracket_search`` on the step predicate at ``step`` ("lo", "hi" or a
+    fraction of the bracket), in at most ``iters`` tests.  With a distance that
+    carries no information (NaN) it is the fixed-step loop, bit for bit; with
+    the linear distance c - t it returns the same bits wherever that loop
+    reaches adjacent doubles within ``iters`` steps."""
     c = {"lo": lo, "hi": hi}.get(step)
     if c is None:
         c = lo + step * (hi - lo)
     below = (lambda t: t <= c) if closed else (lambda t: t < c)
-    calls = []
+    want = fixed_step_bisect(below, lo, hi, iters)
+    converges = bisection_converges(below, lo, hi, iters)
+    for informative in (False, True):
+        calls = []
 
-    def counted(t):
-        calls.append(t)
-        return below(t)
-    assert sf._bisect(counted, lo, hi, iters) == fixed_step_bisect(below, lo, hi, iters)
-    assert len(calls) <= iters
+        def probe(t):
+            calls.append(t)
+            return below(t), c - t if informative else math.nan
+        got = sf._bracket_search(probe, lo, hi, iters)
+        assert len(calls) <= iters
+        assert lo <= got <= hi
+        if converges or not informative:
+            assert got == want, (informative, got, want)
 
 
 def check_discrete_quantile(spec, side, q):
@@ -139,7 +189,12 @@ def tail_calls(monkeypatch):
     return calls
 
 
-# _bisect -------------------------------------------------------------------------
+def flat(below):
+    """A probe whose distance carries no information, so each step bisects."""
+    return lambda t: (below(t), math.nan)
+
+
+# _bracket_search -------------------------------------------------------------------
 
 def test_bisect_stops_once_the_bracket_stops_moving():
     calls = []
@@ -147,9 +202,24 @@ def test_bisect_stops_once_the_bracket_stops_moving():
     def below(t):
         calls.append(t)
         return t < 0.3
-    assert sf._bisect(below, 0.0, 1.0, 90) == fixed_step_bisect(lambda t: t < 0.3, 0.0, 1.0, 90)
+    assert sf._bracket_search(flat(below), 0.0, 1.0, 90) == \
+        fixed_step_bisect(lambda t: t < 0.3, 0.0, 1.0, 90)
     assert len(calls) <= 55  # adjacent doubles after about 54 halvings of [0, 1]
     assert len(set(calls)) == len(calls)  # no point is tested twice
+
+
+def test_search_on_a_log_distance_takes_few_steps():
+    # a smooth log distance: the same adjacent doubles as bisection, in a
+    # quarter of the tests, none of them twice
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        return math.expm1(t) < 0.3, math.log(0.3) - math.log(math.expm1(t))
+    got = sf._bracket_search(probe, 0.0, 1.0, 90)
+    assert got == fixed_step_bisect(lambda t: math.expm1(t) < 0.3, 0.0, 1.0, 90)
+    assert len(calls) <= 14
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("step", ["lo", "hi"])
@@ -158,7 +228,9 @@ def test_bisect_step_at_an_untested_end(step):
     lo, hi = 1.0, 2.0
     c = lo if step == "lo" else hi
     for below in (lambda t: t < c, lambda t: t <= c):
-        assert sf._bisect(below, lo, hi, 90) == fixed_step_bisect(below, lo, hi, 90)
+        want = fixed_step_bisect(below, lo, hi, 90)
+        assert sf._bracket_search(flat(below), lo, hi, 90) == want
+        assert sf._bracket_search(lambda t: (below(t), c - t), lo, hi, 90) == want
 
 
 @pytest.mark.parametrize("bracket,step,closed,iters", [
@@ -181,18 +253,50 @@ def test_bisect_keeps_its_step_count_when_the_bracket_keeps_moving():
         calls.append(t)
         return t < 0.0
     # towards 0 the doubles never run out, so all 90 steps are taken
-    assert sf._bisect(below, 0.0, 1.0, 90) == 2.0 ** -91
+    assert sf._bracket_search(flat(below), 0.0, 1.0, 90) == 2.0 ** -91
     assert len(calls) == 90
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 5, 90])
+def test_search_never_exceeds_its_step_cap(iters):
+    # a distance that puts every interpolated point next to the lower end: the
+    # safeguard's bisections still halve the bracket at least every third test
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        return t < 0.7, 1e-300 if t < 0.7 else -1e300
+    got = sf._bracket_search(probe, 0.0, 1.0, iters)
+    assert len(calls) <= iters
+    assert abs(got - 0.7) <= 2.0 ** -(iters // 3)
 
 
 # continuous quantile mapping -------------------------------------------------------
 
+def check_continuous_quantile(spec, side, q):
+    """The threshold is 0 or an adjacent-double crossing of ``tail(x) > q``
+    (at a bounded support's end, the crossing is that end), and equals the fixed-step route unless the computed tail
+    crosses q more than once, which only a tail that is not monotone can."""
+    got = harness._bisect_quantile_flagged(spec, side, q)
+    want = fixed_step_quantile(spec, side, q)
+    x = got[0]
+    if x == 0.0:  # the tail at 0 is q within the oracle's error, or below q
+        ci_lo, ci_hi = harness.exact_tail(spec, side, 0.0).ci()
+        assert (got[1] is None and ci_lo <= q <= ci_hi) or got == want == (0.0, "unattainable")
+        return
+
+    def below(t):
+        return harness.exact_tail(spec, side, t).value > q
+    assert got[1] is None and is_crossing(below, x), (side, q, x)
+    if x != want[0]:  # two crossings: the computed tail is not monotone between them
+        assert is_crossing(below, want[0]), (side, q, x, want)
+
+
 @pytest.mark.parametrize("spec", CONTINUOUS, ids=repr)
-def test_continuous_quantile_equals_fixed_step_route(monkeypatch, spec):
-    got = [harness._bisect_quantile_flagged(spec, side, q) for side in SIDES for q in DEPTHS[::2]]
-    monkeypatch.setattr(harness, "_bisect", fixed_step_bisect)
-    want = [harness._bisect_quantile_flagged(spec, side, q) for side in SIDES for q in DEPTHS[::2]]
-    assert [bits(r) for r in got] == [bits(r) for r in want]
+def test_continuous_quantile_equals_fixed_step_route(spec):
+    for side in SIDES:
+        for q in DEPTHS:
+            check_continuous_quantile(spec, side, q)
 
 
 @pytest.mark.parametrize("spec", CONTINUOUS, ids=repr)
@@ -201,14 +305,64 @@ def test_continuous_quantile_tail_budget(tail_calls, spec):
         for q in DEPTHS:
             del tail_calls[:]
             harness.bisect_quantile(spec, side, q)
-            assert len(tail_calls) <= 70, (side, q)
+            assert len(tail_calls) <= 56, (side, q)
 
 
-def test_median_of_symmetric_family_takes_every_step(tail_calls):
-    # the threshold is 0, where bisection never reaches adjacent doubles:
-    # tail(0), the bracket end and 90 steps
-    assert 0.0 <= harness.bisect_quantile(Normal(1.0), Side.UPPER, 0.5) < 1e-20
-    assert len(tail_calls) <= 92
+def test_continuous_quantile_mean_tail_budget(tail_calls):
+    counts = []
+    for spec in CONTINUOUS:
+        for side in SIDES:
+            for q in DEPTHS:
+                del tail_calls[:]
+                harness.bisect_quantile(spec, side, q)
+                counts.append(len(tail_calls))
+    assert sum(counts) / len(counts) <= 25.0  # fixed-step bisection: 55.5
+
+
+@pytest.mark.parametrize("spec", [IrwinHall(k) for k in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
+                         + [Normal(1.0)], ids=repr)
+def test_median_of_symmetric_family_is_zero(tail_calls, spec):
+    # the tail at 0 is 1/2 within the oracle's error: the median is 0, with no
+    # search towards it and no "unattainable" flag where it rounds below 1/2
+    for side in SIDES:
+        del tail_calls[:]
+        assert harness._bisect_quantile_flagged(spec, side, 0.5) == (0.0, None)
+        assert len(tail_calls) <= 3
+
+
+# Clopper-Pearson ends -------------------------------------------------------------
+
+CP_SUCCESSES = (0, 1, 3, 10, 100, 10**3, 10**4, 10**5, 5 * 10**5, 999_990, 10**6)
+
+
+def test_clopper_pearson_ends_are_crossings_of_the_incomplete_beta(monkeypatch):
+    n, confidence = 10**6, 0.99
+    evals, depth = [0], [0]
+    inc_beta = sf.inc_beta
+
+    def counted(*args):  # the top-level evaluations, not inc_beta's own complement call
+        evals[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return inc_beta(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(sf, "inc_beta", counted)
+    ends = [oracle.clopper_pearson(s, n, confidence) for s in CP_SUCCESSES]
+    assert evals[0] < 1000  # fixed-step bisection: 1,254
+    monkeypatch.undo()
+    a = 0.5 * (1.0 - confidence)
+    for s, (lo, hi) in zip(CP_SUCCESSES, ends):
+        for end, q, shape, trivial in ((lo, a, (s, n - s + 1), s == 0),
+                                       (hi, 1.0 - a, (s + 1, n - s), s == n)):
+            if trivial:
+                continue
+
+            def below(t):
+                return sf.reg_inc_beta(*shape, t) < q
+            assert is_crossing(below, end), (s, end)
+            want = fixed_step_bisect(below, 0.0, 1.0, 100)
+            assert abs(end - want) <= 1e-12 * want, (s, end, want)
 
 
 # discrete quantile mapping ---------------------------------------------------------

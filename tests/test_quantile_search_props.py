@@ -1,9 +1,9 @@
 """Randomised equality checks for quantile mapping, when hypothesis is installed.
 
-``specfun._bisect`` against the fixed-step loop it replaced, on random
-monotone step predicates; the discrete index search against a scan of every
-support point, on real families and on synthetic non-increasing log tails
-with ties, near ties and zero tails.  The edge cases of each run without
+``specfun._bracket_search`` against the fixed-step bisection it replaced, on
+random monotone step predicates, with no distance and with a linear one; the
+discrete index search against a scan of every support point, on real families
+and on synthetic non-increasing log tails with ties, near ties and zero tails.  The edge cases of each run without
 hypothesis in ``test_quantile_search.py``, which holds the checks.
 """
 

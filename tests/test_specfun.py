@@ -288,8 +288,14 @@ def test_exact_tail_evaluates_one_route(monkeypatch, family, side, x):
 # scalar searches ------------------------------------------------------------
 
 def test_bisect_finds_root():
-    root = sf._bisect(lambda t: t * t < 2.0, 0.0, 2.0, 60)
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        return t * t < 2.0, math.log(2.0) - 2.0 * math.log(t)
+    root = sf._bracket_search(probe, 0.0, 2.0, 60)
     assert abs(root - math.sqrt(2.0)) < 1e-15
+    assert len(calls) <= 15  # bisection alone takes 53
 
 
 def test_golden_argmax_finds_maximiser():
