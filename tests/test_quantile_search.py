@@ -208,17 +208,28 @@ def test_bisect_stops_once_the_bracket_stops_moving():
     assert len(set(calls)) == len(calls)  # no point is tested twice
 
 
-def test_search_on_a_log_distance_takes_few_steps():
-    # a smooth log distance: the same adjacent doubles as bisection, in a
-    # quarter of the tests, none of them twice
+@pytest.mark.parametrize("f,q,lo,hi,budget", [
+    (math.expm1, 0.3, 0.1, 1.0, 14),         # the sought point nears lo
+    (sf.normal_tail, 1e-12, 4.0, 8.0, 14),   # a concave log tail
+], ids=["expm1", "normal"])
+def test_search_on_a_log_distance_takes_few_steps(f, q, lo, hi, budget):
+    # a smooth log distance, known at the ends: the same adjacent doubles as
+    # bisection in a quarter of its 52-54 tests, none of them twice; without
+    # the Illinois halving on either end one of the two takes 16 or more
+    sign = 1.0 if f is math.expm1 else -1.0  # expm1 rises, the normal tail falls
     calls = []
+
+    def below(t):
+        return sign * (f(t) - q) < 0.0
 
     def probe(t):
         calls.append(t)
-        return math.expm1(t) < 0.3, math.log(0.3) - math.log(math.expm1(t))
-    got = sf._bracket_search(probe, 0.0, 1.0, 90)
-    assert got == fixed_step_bisect(lambda t: math.expm1(t) < 0.3, 0.0, 1.0, 90)
-    assert len(calls) <= 14
+        return below(t), sign * (math.log(q) - math.log(f(t)))
+    d_lo, d_hi = probe(lo)[1], probe(hi)[1]
+    del calls[:]
+    got = sf._bracket_search(probe, lo, hi, 90, d_lo, d_hi)
+    assert got == fixed_step_bisect(below, lo, hi, 90)
+    assert len(calls) <= budget
     assert len(set(calls)) == len(calls)
 
 
@@ -275,8 +286,9 @@ def test_search_never_exceeds_its_step_cap(iters):
 
 def check_continuous_quantile(spec, side, q):
     """The threshold is 0 or an adjacent-double crossing of ``tail(x) > q``
-    (at a bounded support's end, the crossing is that end), and equals the fixed-step route unless the computed tail
-    crosses q more than once, which only a tail that is not monotone can."""
+    (at a bounded support's end, the crossing is that end), and equals the
+    fixed-step route unless the computed tail crosses q more than once, which
+    only a tail that is not monotone can."""
     got = harness._bisect_quantile_flagged(spec, side, q)
     want = fixed_step_quantile(spec, side, q)
     x = got[0]
@@ -308,6 +320,20 @@ def test_continuous_quantile_tail_budget(tail_calls, spec):
             assert len(tail_calls) <= 56, (side, q)
 
 
+def test_doubling_hands_its_last_point_above_q_to_the_search(monkeypatch):
+    # Normal(1) at 1e-12 (x = 7.03): tail(1), tail(2) and tail(4) stay above q
+    # and tail(8) falls below it, so the search starts on [4, 8]
+    starts = []
+    search = harness._bracket_search
+
+    def recorded(probe, lo, hi, iters, d_lo, d_hi):
+        starts.append((lo, hi, d_lo > 0.0 > d_hi))
+        return search(probe, lo, hi, iters, d_lo, d_hi)
+    monkeypatch.setattr(harness, "_bracket_search", recorded)
+    harness.bisect_quantile(Normal(1.0), Side.UPPER, 1e-12)
+    assert starts == [(4.0, 8.0, True)]
+
+
 def test_continuous_quantile_mean_tail_budget(tail_calls):
     counts = []
     for spec in CONTINUOUS:
@@ -319,8 +345,7 @@ def test_continuous_quantile_mean_tail_budget(tail_calls):
     assert sum(counts) / len(counts) <= 25.0  # fixed-step bisection: 55.5
 
 
-@pytest.mark.parametrize("spec", [IrwinHall(k) for k in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
-                         + [Normal(1.0)], ids=repr)
+@pytest.mark.parametrize("spec", [IrwinHall(k) for k in range(2, 13)] + [Normal(1.0)], ids=repr)
 def test_median_of_symmetric_family_is_zero(tail_calls, spec):
     # the tail at 0 is 1/2 within the oracle's error: the median is 0, with no
     # search towards it and no "unattainable" flag where it rounds below 1/2
