@@ -13,9 +13,11 @@ interquartile range.  For every workload it also runs each side once at
 ``--seed 42`` with ``--rows-out`` and counts the change's rows that are looser,
 tighter, unchanged or missing against the base's, with ``perfbench/rowdiff.py``,
 and lists the looser and missing ones.
-It adds the traced ``quantile-map --seed 42`` counts and the wall time of
-``tailbound verify --seed 42`` on both sides (alternating, 10 runs each), with a
-check that both reports have the same bytes apart from ``timestamp``.
+It adds the traced ``quantile-map --seed 42`` counts, the engine metrics of
+traced ``point-bounds --seed 42`` runs (alternating, 10 runs each, summarized
+as above) and the wall time of ``tailbound verify --seed 42`` on both sides
+(alternating, 10 runs each), with a check that both reports have the same
+bytes apart from ``timestamp``.
 
 Run from the repository root; the runs are serial, one process at a time.
 """
@@ -45,6 +47,11 @@ SECONDS = BENCHMARK["run_seconds"]
 TRACED_COUNTS = ("oracle.exact_tail.calls", "specfun.calls", "harness.exact_tail_calls",
                  "oracle.exact_tail.noncentral_chisq.ms", "specfun.inc_gamma_series_us",
                  "oracle.clopper_pearson_1e6_us")
+TRACED_ENGINES = ("dist_model.log_mgf_evals", "engine_upper.chernoff_upper.calls",
+                  "engine_upper.chernoff_upper.self_ms",
+                  "engine_lower.reverse_chernoff_lower.calls",
+                  "engine_lower.reverse_chernoff_lower.self_ms", "engine_lower.pz_lower.calls",
+                  "engine_lower.pz_lower.self_ms", "engine_lower.rc_win_ratio")
 
 
 def git(*args: str) -> bytes:
@@ -172,6 +179,18 @@ def main(argv=None) -> int:
         result["traced_quantile_map_seed42"] = {
             metric: {name: traced[name]["metrics"][metric]["value"] for name in sides}
             for metric in TRACED_COUNTS}
+
+        runs = {"base": [], "change": []}
+        for i in range(PAIRS):
+            for name in order(i):
+                runs[name].append(run_json(sides[name], "--workload", "point-bounds",
+                                           "--seed", "42", "--seconds", "1", "--trace", "1"))
+        result["traced_point_bounds_seed42"] = {
+            metric: summarize([r["metrics"][metric]["value"] for r in runs["base"]],
+                              [r["metrics"][metric]["value"] for r in runs["change"]],
+                              next(m["better"] for m in BENCHMARK["per_layer"]
+                                   if m["name"] == metric))
+            for metric in TRACED_ENGINES}
 
         walls = {"base": [], "change": []}
         for i in range(PAIRS):

@@ -193,10 +193,11 @@ class _Family:
     """Model facts of one family, each a function of the spec.
 
     ``extent(spec, mean)`` is the (upper, lower) pair of ``support_extent``;
-    ``draw`` returns raw draws of Y; ``cgf(spec, t)`` is the centered log-MGF
-    on an array t, None where there is no closed form, and ``cgf_sup`` the
-    open upper end of its domain; discrete families list their attained
-    centered thresholds in ``support_x``.
+    ``draw`` returns raw draws of Y; ``cgf(spec, t)`` is the centered log-MGF,
+    one formula on a float or an array t inside the domain (None where there is
+    no closed form), and ``cgf_sup`` the open upper end of that domain, which
+    ``log_mgf`` applies; discrete families list their attained centered
+    thresholds in ``support_x``.
     """
 
     name: str
@@ -287,55 +288,49 @@ class LogMgfSpec:
 
 
 def log_mgf(spec: DistSpec) -> LogMgfSpec:
-    """Closed-form centered log-MGF; Beta has none and raises."""
+    """Closed-form centered log-MGF, inf at and above the domain's end; Beta
+    has none and raises.  A float t is evaluated as a float."""
     fam = _family(spec)
-    cgf = fam.cgf
+    cgf, sup = fam.cgf, fam.cgf_sup(spec)
     if cgf is None:
         raise UnsupportedFamilyError(f"no closed-form MGF for family {fam.name}")
 
     def ev(t):
-        out = cgf(spec, np.asarray(t, dtype=float))
+        if isinstance(t, float):
+            return float(cgf(spec, t)) if t < sup else math.inf
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):  # the formula beyond the domain is discarded
+            out = np.where(t < sup, cgf(spec, t), np.inf)
         return out if out.ndim else float(out)
 
-    return LogMgfSpec(ev, RealInterval(-math.inf, fam.cgf_sup(spec)))
+    return LogMgfSpec(ev, RealInterval(-math.inf, sup))
 
 
-def _gamma_cgf(spec: Gamma, t: np.ndarray):
-    tc = np.where(t < 1.0, t, 0.0)
-    return np.where(t < 1.0, -spec.alpha * (tc + np.log1p(-tc)), np.inf)
+def _gamma_cgf(spec: Gamma, t):
+    return -spec.alpha * (t + np.log1p(-t))
 
 
-def _chisq_cgf(spec: ChiSq, t: np.ndarray):
-    tc = np.where(t < 0.5, t, 0.0)
-    return np.where(t < 0.5, -0.5 * spec.k * (np.log1p(-2.0 * tc) + 2.0 * tc), np.inf)
+def _chisq_cgf(spec: ChiSq, t):
+    return -0.5 * spec.k * (np.log1p(-2.0 * t) + 2.0 * t)
 
 
-def _weighted_chisq_cgf(spec: WeightedChiSq, t: np.ndarray):
+def _weighted_chisq_cgf(spec: WeightedChiSq, t):
     tu = np.multiply.outer(t, spec.u.as_array())
-    with np.errstate(invalid="ignore"):
-        terms = -0.5 * (np.log1p(-2.0 * tu) + 2.0 * tu)
-    return np.where(np.all(tu < 0.5, axis=-1), np.nansum(terms, axis=-1), np.inf)
+    return (-0.5 * (np.log1p(-2.0 * tu) + 2.0 * tu)).sum(axis=-1)
 
 
-def _nc_chisq_cgf(spec: NoncentralChiSq, t: np.ndarray):
-    k, lam = spec.k, spec.lam
-    tc = np.where(t < 0.5, t, 0.0)
-    body = 2.0 * lam * tc * tc / (1.0 - 2.0 * tc) - 0.5 * k * (np.log1p(-2.0 * tc) + 2.0 * tc)
-    return np.where(t < 0.5, body, np.inf)
+def _nc_chisq_cgf(spec: NoncentralChiSq, t):
+    return 2.0 * spec.lam * t * t / (1.0 - 2.0 * t) + _chisq_cgf(spec, t)
 
 
-def _irwin_hall_cgf(spec: IrwinHall, t: np.ndarray):
-    u = 0.5 * t
-    small = np.abs(u) < 1e-3
-    u_safe = np.where(small, 1.0, u)
-    with np.errstate(over="ignore"):
-        direct = np.log(np.sinh(np.abs(u_safe)) / np.abs(u_safe))
-    u2 = u * u
-    series = u2 / 6.0 - u2 * u2 / 180.0
-    return spec.k * np.where(small, series, direct)
+def _irwin_hall_cgf(spec: IrwinHall, t):
+    u = np.abs(0.5 * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the series serves u = 0
+        return spec.k * np.where(u < 1e-3, u * u / 6.0 - u * u * (u * u) / 180.0,
+                                 np.log(np.sinh(u) / u))
 
 
-def _rademacher_cgf(spec: RademacherSum, t: np.ndarray):
+def _rademacher_cgf(spec: RademacherSum, t):
     a = np.abs(t)
     return spec.k * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0))
 

@@ -55,22 +55,31 @@ class TailLowerFn:
     params: dict = field(default_factory=dict)
 
 
-_PZ_LAM_LO = 1e-3
-_PZ_LAM_HI = 20.0  # beyond this (1 - e^-lam)^2 is within 4e-9 of 1
+_PZ_LAMS = tuple(np.geomspace(1e-3, 20.0, 200).tolist())  # (1 - e^-20)^2 is 4e-9 below 1
 
 
-def _pz_t_root(s: MgfSandwich, x: float, lam: float) -> float:
-    """Smallest t with c1 a t - (lam + log(1/c2)) / t = x (the binding threshold)."""
-    shift = lam + math.log(1.0 / s.c2)
-    return (x + math.sqrt(x * x + 4.0 * s.c1 * s.alpha * shift)) / (2.0 * s.c1 * s.alpha)
+def _pz_curve(s: MgfSandwich, x: float):
+    """(t(lam), log_value(lam, gain)) of pz_lower at x, the sandwich's constants
+    folded in; a given gain(lam) replaces log (1 - e^-lam)^2."""
+    log_inv_c2, four_ca, two_ca = math.log(1.0 / s.c2), 4.0 * s.c1 * s.alpha, 2.0 * s.c1 * s.alpha
+    log_c2_sq, log_C2 = 2.0 * math.log(s.c2), math.log(s.C2)
+    decay = 2.0 * (2.0 * s.C1 - s.c1) * s.alpha
+
+    def t_root(lam: float) -> float:
+        return (x + math.sqrt(x * x + four_ca * (lam + log_inv_c2))) / two_ca
+
+    def log_value(lam: float, gain=lambda v: 2.0 * math.log(-math.expm1(-v))) -> float:
+        t = t_root(lam)
+        return -math.inf if t > 0.5 * s.M else gain(lam) + log_c2_sq - log_C2 - decay * t * t
+
+    return t_root, log_value
 
 
-def _pz_log_value(s: MgfSandwich, t: float, lam: float) -> float:
-    return (
-        2.0 * math.log(-math.expm1(-lam))
-        + 2.0 * math.log(s.c2) - math.log(s.C2)
-        - 2.0 * (2.0 * s.C1 - s.c1) * s.alpha * t * t
-    )
+def _pz_cap(s: MgfSandwich, x: float) -> float:
+    """At least every value pz_lower(s, x) returns: every lam it tests is at least
+    the first grid point, t(lam) grows with lam and the gain is at most 0.  Each
+    rounding is monotone, so the computed values keep this order: no margin."""
+    return _pz_curve(s, x)[1](_PZ_LAMS[0], lambda v: 0.0)
 
 
 def pz_lower(s: MgfSandwich, x: float, lam: float | None = None) -> BoundResult:
@@ -83,22 +92,16 @@ def pz_lower(s: MgfSandwich, x: float, lam: float | None = None) -> BoundResult:
     """
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"threshold must be >= 0, got {x}")
-
-    def log_value(lam_val: float) -> float:
-        t = _pz_t_root(s, x, lam_val)
-        return -math.inf if t > 0.5 * s.M else _pz_log_value(s, t, lam_val)
-
+    t_root, log_value = _pz_curve(s, x)
     if lam is None:
-        lams = np.geomspace(_PZ_LAM_LO, _PZ_LAM_HI, 200)
-        lam, lv = _grid_argmax(log_value, lams, [log_value(float(v)) for v in lams], 80)
+        lam, lv = _grid_argmax(log_value, _PZ_LAMS, [log_value(v) for v in _PZ_LAMS], 80)
         infeasible = {"feasible": False}
     else:
         lv = log_value(lam)
         infeasible = {"feasible": False, "lam": lam}
     if lv == -math.inf:
         return _no_certificate("pz", "paley_zygmund", infeasible)
-    return result_from_log(lv, "pz", True, "paley_zygmund",
-                           {"t": _pz_t_root(s, x, lam), "lam": lam})
+    return result_from_log(lv, "pz", True, "paley_zygmund", {"t": t_root(lam), "lam": lam})
 
 
 def pz_paper_constants(s: MgfSandwich, c_small_sq: float | None = None) -> PzConstants:

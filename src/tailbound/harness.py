@@ -148,6 +148,16 @@ def _side_draws(spec: DistSpec, side: Side, seed: int, n: int, stream: int = 0) 
     return s
 
 
+def _sorted_quantile(s: np.ndarray, p: float) -> float:
+    """np.quantile(s, p) of an ascending s, bit for bit: numpy's ``linear`` rule."""
+    h = (len(s) - 1) * p
+    i = math.floor(h)
+    if i >= len(s) - 1:
+        return float(s[-1])
+    a, b, g = float(s[i]), float(s[i + 1]), h - i
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
     if not (0.0 < q < 1.0):
         raise DomainError(f"need 0 < q < 1, got {q}")
@@ -155,8 +165,7 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
 
     if _is_mc_family(spec):
         s = mc_draws if mc_draws is not None else _side_draws(spec, side, seed, 10**6)
-        x = float(np.quantile(s, 1.0 - q))
-        return max(0.0, x), None
+        return max(0.0, _sorted_quantile(s, 1.0 - q)), None
 
     if _family(spec).support_x is not None:
         return _nearest_support_x(spec, side, math.log(q))

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tailbound.dist_bounds import NUMERIC, RATE, lower_bound
@@ -11,7 +12,7 @@ from tailbound.dist_model import (
 from tailbound.errors import DomainError
 from tailbound.harness import (
     AbsoluteGrid, DEFAULT_FAMILIES, DEFAULT_QUANTILES,
-    bisect_quantile, run_grid,
+    _sorted_quantile, bisect_quantile, run_grid,
 )
 from tailbound.oracle import exact_tail
 
@@ -132,3 +133,29 @@ def test_run_grid_rows_in_family_side_x_tier_order():
         assert row.lower == lower_bound(spec, side, x, tier=tier)
     # the tiers give different lower bounds, so the comparison above pins their order
     assert rep.rows[0].lower != rep.rows[1].lower
+
+
+def _linear_quantile_cases():
+    rng = np.random.default_rng(20)
+    big = np.sort(rng.standard_normal(10**6))
+    n = len(big)
+    ps = [1.0 - q for q in DEFAULT_QUANTILES]  # the sweep's Monte Carlo depths
+    ps += [k / (n - 1) for k in (1, 2, 999, 500_000, n - 2)]  # integer h
+    ps += [0.0, 1.0, 1.0 - 1e-20]  # h = 0 and h = n - 1
+    ps += rng.uniform(0.0, 1.0, 50).tolist()
+    yield from ((big, p) for p in ps)
+    ties = np.sort(rng.integers(-3, 3, 101).astype(float))  # equal neighbours, signed zeros
+    ties[ties == 0.0] = -0.0
+    for s in (ties, np.array([2.5]), np.array([-1.0, 4.0])):
+        yield from ((s, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0, 0.123, 0.999))
+    # h = k + 1/2 exactly, between far-apart neighbours, where numpy's two lerp forms differ
+    nine = np.sort(rng.choice([-1.0, 1.0], 9) * 10.0 ** rng.uniform(-3.0, 3.0, 9))
+    for k in range(8):
+        p = (k + 0.5) / 8.0
+        yield from ((nine, v) for v in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)))
+
+
+def test_sorted_quantile_is_numpy_linear_quantile_bit_for_bit():
+    for s, p in _linear_quantile_cases():
+        got, want = _sorted_quantile(s, p), float(np.quantile(s, p))
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (len(s), p)

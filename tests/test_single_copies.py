@@ -25,7 +25,7 @@ from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum,
     Side, WeightedChiSq, WeightVector, log_mgf,
 )
-from tailbound.engine_lower import _pz_log_value, _pz_t_root, pz_lower
+from tailbound.engine_lower import pz_lower
 from tailbound.engine_upper import BoundResult, MgfSandwich, result_from_log
 from tailbound.errors import DomainError
 from tailbound.oracle import MonteCarloError, _mc_estimate, clopper_pearson
@@ -78,8 +78,23 @@ def test_grid_argmax_without_a_finite_value():
 
 # pz_lower against the loop it replaced --------------------------------------------
 
+def _pz_t_root(s, x, lam):
+    """Smallest t with c1 a t - (lam + log(1/c2)) / t = x (the binding threshold)."""
+    shift = lam + math.log(1.0 / s.c2)
+    return (x + math.sqrt(x * x + 4.0 * s.c1 * s.alpha * shift)) / (2.0 * s.c1 * s.alpha)
+
+
+def _pz_log_value(s, t, lam):
+    return (
+        2.0 * math.log(-math.expm1(-lam))
+        + 2.0 * math.log(s.c2) - math.log(s.C2)
+        - 2.0 * (2.0 * s.C1 - s.c1) * s.alpha * t * t
+    )
+
+
 def _ref_pz_lower(s, x, lam=None):
-    """The hand-written grid-then-golden loop of pz_lower before the shared helper."""
+    """The hand-written grid-then-golden loop of pz_lower before the shared helper,
+    with the sandwich constants recomputed at every lam as they were then."""
     def candidate(lam_val):
         t = _pz_t_root(s, x, lam_val)
         if t > 0.5 * s.M:
