@@ -26,7 +26,7 @@ from .dist_model import (
     Normal, Poisson, RademacherSum, Side, WeightedChiSq,
     _FAMILY, family_name, log_mgf, mean_shift, variance,
 )
-from .engine_lower import _EPS, _RC_ULPS, _pz_cap, pz_lower, reverse_chernoff_lower
+from .engine_lower import _EPS, _RC_ULPS, pz_lower, reverse_chernoff_lower
 from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
 from .errors import DomainError, UnsupportedFamilyError, WindowError
 
@@ -340,15 +340,12 @@ def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
 
 
 def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
-    """Best certificate of the reverse Chernoff and Paley-Zygmund engines, else the
-    reverse Chernoff result; every family served here has a log-MGF and a sandwich.
-    Paley-Zygmund runs only where its cap beats a reverse Chernoff certificate."""
+    """Better certificate of the reverse Chernoff and Paley-Zygmund engines, reverse
+    Chernoff on a tie, else the reverse Chernoff result; every family served here
+    has a log-MGF and a sandwich."""
     x_eff = max(x, 1e-9 * max(1.0, math.sqrt(variance(spec))))
     rc = reverse_chernoff_lower(log_mgf(spec), x_eff, side)
-    s = mgf_sandwich(spec, side)
-    if rc.certified and _pz_cap(s, x) <= rc.log_value:
-        return rc
-    pz = pz_lower(s, x)
+    pz = pz_lower(mgf_sandwich(spec, side), x)
     return pz if pz.certified and not (rc.certified and rc.log_value >= pz.log_value) else rc
 
 

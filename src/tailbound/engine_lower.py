@@ -20,7 +20,7 @@ from .engine_upper import (
     result_from_log,
 )
 from .errors import DomainError
-from .specfun import _grid_argmax
+from .specfun import _golden_min
 
 
 @dataclass(frozen=True)
@@ -55,47 +55,46 @@ class TailLowerFn:
     params: dict = field(default_factory=dict)
 
 
-_PZ_LAMS = tuple(np.geomspace(1e-3, 20.0, 200).tolist())  # (1 - e^-20)^2 is 4e-9 below 1
-
-
-def _pz_curve(s: MgfSandwich, x: float):
-    """(t(lam), log_value(lam, gain)) of pz_lower at x, the sandwich's constants
-    folded in; a given gain(lam) replaces log (1 - e^-lam)^2."""
-    log_inv_c2, four_ca, two_ca = math.log(1.0 / s.c2), 4.0 * s.c1 * s.alpha, 2.0 * s.c1 * s.alpha
-    log_c2_sq, log_C2 = 2.0 * math.log(s.c2), math.log(s.C2)
-    decay = 2.0 * (2.0 * s.C1 - s.c1) * s.alpha
-
-    def t_root(lam: float) -> float:
-        return (x + math.sqrt(x * x + four_ca * (lam + log_inv_c2))) / two_ca
-
-    def log_value(lam: float, gain=lambda v: 2.0 * math.log(-math.expm1(-v))) -> float:
-        t = t_root(lam)
-        return -math.inf if t > 0.5 * s.M else gain(lam) + log_c2_sq - log_C2 - decay * t * t
-
-    return t_root, log_value
-
-
-def _pz_cap(s: MgfSandwich, x: float) -> float:
-    """At least every value pz_lower(s, x) returns: every lam it tests is at least
-    the first grid point, t(lam) grows with lam and the gain is at most 0.  Each
-    rounding is monotone, so the computed values keep this order: no margin."""
-    return _pz_curve(s, x)[1](_PZ_LAMS[0], lambda v: 0.0)
+_PZ_LAM_LO, _PZ_LAM_HI = 1e-3, 20.0  # (1 - e^-20)^2 is 4e-9 below 1
 
 
 def pz_lower(s: MgfSandwich, x: float, lam: float | None = None) -> BoundResult:
     """Paley-Zygmund lower bound on P(X >= x) from an MGF sandwich.
 
-    For each lam the tightest admissible t is the root of
+    For each lam > 0 the tightest admissible t is the root of
     c1 a t - (lam + log(1/c2))/t = x, feasible when t <= M/2; the certified
     value is (1-e^-lam)^2 (c2^2/C2) exp(-2(2C1-c1) a t^2).  lam can be forced,
-    otherwise it is optimized over [1e-3, 20].
+    otherwise a golden-section search maximizes the value over
+    [1e-3, min(20, lam_M)], run until its bracket collapses.  t grows with lam
+    and reaches M/2 at lam_M = (M/2)(c1 a M/2 - x) - log(1/c2), so there is no
+    certificate when t(1e-3) > M/2.
     """
     if x < 0.0 or math.isnan(x):
         raise DomainError(f"threshold must be >= 0, got {x}")
-    t_root, log_value = _pz_curve(s, x)
+    if lam is not None and not lam > 0.0:
+        raise DomainError(f"lam must be > 0, got {lam}")
+    log_inv_c2, four_ca, two_ca = math.log(1.0 / s.c2), 4.0 * s.c1 * s.alpha, 2.0 * s.c1 * s.alpha
+    log_c2_sq, log_C2 = 2.0 * math.log(s.c2), math.log(s.C2)
+    decay = 2.0 * (2.0 * s.C1 - s.c1) * s.alpha
+
+    def t_root(v: float) -> float:
+        return (x + math.sqrt(x * x + four_ca * (v + log_inv_c2))) / two_ca
+
+    def log_value(v: float) -> float:
+        t = t_root(v)
+        if t > 0.5 * s.M:
+            return -math.inf
+        return 2.0 * math.log(-math.expm1(-v)) + log_c2_sq - log_C2 - decay * t * t
+
     if lam is None:
-        lam, lv = _grid_argmax(log_value, _PZ_LAMS, [log_value(v) for v in _PZ_LAMS], 80)
         infeasible = {"feasible": False}
+        lv = log_value(_PZ_LAM_LO)
+        if lv > -math.inf:
+            lam_m = (math.inf if s.M == math.inf
+                     else 0.5 * s.M * (0.5 * s.c1 * s.alpha * s.M - x) - log_inv_c2)
+            hi = max(_PZ_LAM_LO, min(_PZ_LAM_HI, lam_m))
+            lam, neg_lv = _golden_min(lambda v: -log_value(v), _PZ_LAM_LO, hi, 0.0)
+            lv = -neg_lv
     else:
         lv = log_value(lam)
         infeasible = {"feasible": False, "lam": lam}
@@ -151,6 +150,8 @@ def pz_paper_bound(s: MgfSandwich, x: float, c_small_sq: float | None = None) ->
 
 def evaluate_tail_lower(tail: TailLowerFn, x: float) -> BoundResult:
     """Evaluate a composed tail lower bound at one point as a BoundResult."""
+    if math.isnan(x):
+        raise DomainError(f"threshold must be a number, got {x}")
     if x < tail.valid_from:
         return _no_certificate("compose", "sum_composition",
                                {"valid_from": tail.valid_from, "feasible": False})
@@ -168,7 +169,7 @@ def reverse_chernoff_objective(
     phi(t) e^{-t d x} - phi(t theta) e^{-t d theta x} - e^{-(t d - t') x} phi(t - t');
     any feasible point makes this a valid lower bound on the tail.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"reverse Chernoff needs x > 0, got {x}")
     side = Side(side)
     logphi, sup = _mirrored(mgf, side)

@@ -8,11 +8,11 @@ value with its log (for gamma, on both sides), so a caller gets a tail and its
 log from one evaluation and can work below the double underflow threshold.
 The single-value functions are views of these pairs.
 
-Scalar searches: ``_golden_min`` (golden section to a tolerance),
-``_golden_argmax`` (fixed-step golden section), ``_grid_argmax`` (a grid
-maximum refined by ``_golden_argmax``) and ``_bracket_search`` (Illinois regula
-falsi on a signed log distance with a bisection safeguard, for at most a step
-count, ended once the midpoint rounds onto an end of the bracket).
+Scalar searches: ``_golden_min`` (the package's one golden-section search, for
+the minimum of a unimodal function, to a relative tolerance or until the bracket
+collapses) and ``_bracket_search`` (Illinois regula falsi on a signed log
+distance with a bisection safeguard, for at most a step count, ended once the
+midpoint rounds onto an end of the bracket).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, TruncationError
 
@@ -355,14 +353,21 @@ _MAX_GOLDEN_ITER = 200
 _BRACKET_TOL = 1e-12
 
 
-def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of a convex scalar function on [lo, hi]."""
+def _golden_min(f, lo: float, hi: float, tol: float = _BRACKET_TOL) -> tuple[float, float]:
+    """(t, f(t)) at the golden-section minimum of a unimodal f on [lo, hi].
+
+    t is the better of the two interior points, each evaluated once per step.
+    The search stops once the bracket is narrower than ``tol`` relative to its
+    ends, or once an interior point rounds onto or past an end, so ``tol = 0``
+    runs it until the bracket collapses onto adjacent doubles.  Ties move the
+    upper end down.
+    """
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(_MAX_GOLDEN_ITER):
-        if b - a < _BRACKET_TOL * max(1.0, abs(a) + abs(b)):
+        if b - a < tol * max(1.0, abs(a) + abs(b)) or not a < x1 < x2 < b:
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -374,39 +379,6 @@ def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
             f2 = f(x2)
     t = x1 if f1 <= f2 else x2
     return t, min(f1, f2)
-
-
-def _golden_argmax(f, lo: float, hi: float, iters: int) -> float:
-    """Midpoint of the bracket left after ``iters`` golden-section steps
-    towards the maximum of f on [lo, hi]; both inner points are evaluated
-    afresh at each step."""
-    a, b = lo, hi
-    for _ in range(iters):
-        m1 = b - _GOLDEN * (b - a)
-        m2 = a + _GOLDEN * (b - a)
-        if f(m1) >= f(m2):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
-
-
-def _grid_argmax(log_f, grid, logs, iters: int) -> tuple[float | None, float]:
-    """(point, log value) maximizing ``log_f``: the grid point with the first
-    largest of ``logs`` (its log values), refined by ``iters`` golden-section
-    steps between its neighbours.  The refined point wins only when strictly
-    better; (None, -inf) when every grid value is -inf."""
-    i = int(np.argmax(logs))
-    best = float(logs[i])
-    if best == -math.inf:
-        return None, -math.inf
-    last = len(grid) - 1
-    refined = _golden_argmax(log_f, float(grid[max(0, i - 1)]), float(grid[min(last, i + 1)]),
-                             iters)
-    refined_log = log_f(refined)
-    if refined_log > best:
-        return refined, refined_log
-    return float(grid[i]), best
 
 
 _CLAMP_ULPS = 4  # an interpolated point stays this many ulps inside the bracket

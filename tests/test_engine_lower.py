@@ -57,6 +57,13 @@ def test_pz_infeasible_domain_returns_uncertified_zero():
     assert not r.certified
 
 
+@pytest.mark.parametrize("lam", [math.nan, 0.0, -1.0, -math.inf])
+def test_pz_refuses_a_forced_lambda_that_is_not_positive(lam):
+    # a NaN lam once certified P >= 1, since no comparison with it rejects
+    with pytest.raises(DomainError):
+        pz_lower(GAUSS, 1.0, lam=lam)
+
+
 def test_pz_monotone_in_x():
     prev = math.inf
     for x in np.linspace(0.0, 4.0, 30):
@@ -167,6 +174,12 @@ def test_rc_lower_side_poisson():
 def test_rc_requires_positive_x_and_domain():
     with pytest.raises(DomainError):
         reverse_chernoff_lower(log_mgf(Normal(1.0)), 0.0)
+
+
+def test_rc_objective_refuses_a_nan_threshold():
+    p = ReverseChernoffParams(t=1.0, t_prime=0.5, theta=2.0, delta=2.0)
+    with pytest.raises(DomainError):
+        reverse_chernoff_objective(log_mgf(Normal(1.0)), math.nan, p)
 
 
 def test_rc_poisson_lower_edge_has_no_certificate():
@@ -345,3 +358,11 @@ def test_evaluate_tail_lower_compose_method():
     assert abs(r.value - out.f(3.0)) < 1e-18
     below = evaluate_tail_lower(out, 0.5)  # below valid_from
     assert below.value == 0.0 and not below.certified
+
+
+def test_evaluate_tail_lower_refuses_a_nan_threshold():
+    # NaN compares false with valid_from, so it once read a certified f(nan)
+    from tailbound.engine_lower import evaluate_tail_lower
+    tail = TailLowerFn(f=lambda x: 0.5, valid_from=0.0)
+    with pytest.raises(DomainError):
+        evaluate_tail_lower(tail, math.nan)

@@ -1,11 +1,12 @@
 """Each lower-bound search and each Monte Carlo estimate is written once.
 
-The shared helpers (``specfun._grid_argmax``, ``engine_upper._no_certificate``,
+The shared helpers (``specfun._golden_min``, ``engine_upper._no_certificate``,
 ``oracle._mc_estimate``) are checked on their own, the searches built on them
 against test-side copies of the hand-written loops they replaced, and an AST
 guard fails when a hand-written copy comes back anywhere in the package. The
-same guard keeps rate-window errors in ``dist_bounds.rate_info`` and catalog
-rows in ``dist_bounds.bound_catalog``, which reads them from the records.
+same guard keeps the golden ratio in ``specfun._golden_min``, rate-window
+errors in ``dist_bounds.rate_info`` and catalog rows in
+``dist_bounds.bound_catalog``, which reads them from the records.
 """
 
 import ast
@@ -25,55 +26,10 @@ from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum,
     Side, WeightedChiSq, WeightVector, log_mgf,
 )
-from tailbound.engine_lower import pz_lower
+from tailbound.engine_lower import mgf_sandwich_from_tails, pz_lower
 from tailbound.engine_upper import BoundResult, MgfSandwich, result_from_log
 from tailbound.errors import DomainError
 from tailbound.oracle import MonteCarloError, _mc_estimate, clopper_pearson
-
-
-# _grid_argmax -------------------------------------------------------------------
-
-def _counting(f):
-    calls = []
-
-    def wrapped(t):
-        calls.append(t)
-        return f(t)
-    return wrapped, calls
-
-
-def test_grid_argmax_keeps_first_maximum_on_a_tie():
-    grid = [0.0, 1.0, 2.0, 3.0, 4.0]
-    logs = [0.0, 5.0, 1.0, 5.0, 0.0]
-    f, calls = _counting(lambda t: -math.inf)
-    assert sf._grid_argmax(f, grid, logs, 10) == (1.0, 5.0)
-    assert all(0.0 <= t <= 2.0 for t in calls)  # refined between the first maximum's neighbours
-
-
-@pytest.mark.parametrize("logs,lo,hi", [
-    ([9.0, 1.0, 0.0, 0.0], 0.0, 1.0),
-    ([0.0, 0.0, 1.0, 9.0], 2.0, 3.0),
-], ids=["first", "last"])
-def test_grid_argmax_clamps_at_the_grid_ends(logs, lo, hi):
-    f, calls = _counting(lambda t: -math.inf)
-    assert sf._grid_argmax(f, [0.0, 1.0, 2.0, 3.0], logs, 20)[1] == 9.0
-    assert calls and all(lo <= t <= hi for t in calls)
-
-
-def test_grid_argmax_takes_the_refined_point_only_when_strictly_better():
-    grid = [0.0, 1.0, 2.0]
-    peak = lambda t: -(t - 0.7) ** 2  # noqa: E731
-    point, value = sf._grid_argmax(peak, grid, [peak(t) for t in grid], 60)
-    assert abs(point - 0.7) < 1e-9 and value == peak(point) > peak(1.0)
-    # the refined value equals the grid value: the grid point stays
-    flat = lambda t: 0.0  # noqa: E731
-    assert sf._grid_argmax(flat, grid, [0.0, 0.0, 0.0], 60) == (0.0, 0.0)
-
-
-def test_grid_argmax_without_a_finite_value():
-    f, calls = _counting(lambda t: 1.0)
-    assert sf._grid_argmax(f, [0.0, 1.0, 2.0], [-math.inf] * 3, 60) == (None, -math.inf)
-    assert calls == []
 
 
 # pz_lower against the loop it replaced --------------------------------------------
@@ -92,9 +48,26 @@ def _pz_log_value(s, t, lam):
     )
 
 
+def _ref_golden_argmax(f, lo, hi, iters):
+    """Midpoint of the bracket left after ``iters`` golden-section steps towards
+    the maximum of f, both inner points evaluated afresh at each step."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    for _ in range(iters):
+        m1 = b - golden * (b - a)
+        m2 = a + golden * (b - a)
+        if f(m1) >= f(m2):
+            b = m2
+        else:
+            a = m1
+    return 0.5 * (a + b)
+
+
 def _ref_pz_lower(s, x, lam=None):
-    """The hand-written grid-then-golden loop of pz_lower before the shared helper,
-    with the sandwich constants recomputed at every lam as they were then."""
+    """The hand-written grid-then-golden loop of pz_lower before the golden-section
+    search over the feasible interval: the best of 200 geometric lam on [1e-3, 20],
+    refined by 80 golden-section steps between its neighbours, with the sandwich
+    constants recomputed at every lam."""
     def candidate(lam_val):
         t = _pz_t_root(s, x, lam_val)
         if t > 0.5 * s.M:
@@ -120,12 +93,23 @@ def _ref_pz_lower(s, x, lam=None):
         got = candidate(lam_val)
         return got[0] if got else -math.inf
 
-    lam_ref = sf._golden_argmax(log_value, float(lams[max(0, best_i - 1)]),
-                                float(lams[min(len(lams) - 1, best_i + 1)]), 80)
+    lam_ref = _ref_golden_argmax(log_value, float(lams[max(0, best_i - 1)]),
+                                 float(lams[min(len(lams) - 1, best_i + 1)]), 80)
     got = candidate(lam_ref)
     if got and got[0] > best[0]:
         best = (got[0], got[1], lam_ref)
     return result_from_log(best[0], "pz", True, "paley_zygmund", {"t": best[1], "lam": best[2]})
+
+
+def _lam_grid_max(s, x, n=20_000):
+    """Largest log value of the Paley-Zygmund certificate over n geometric lam on
+    [1e-3, 20]; -inf where no lam is feasible."""
+    lam = np.geomspace(1e-3, 20.0, n)
+    ca = s.c1 * s.alpha
+    t = (x + np.sqrt(x * x + 4.0 * ca * (lam + math.log(1.0 / s.c2)))) / (2.0 * ca)
+    lv = (2.0 * np.log(-np.expm1(-lam)) + 2.0 * math.log(s.c2) - math.log(s.C2)
+          - 2.0 * (2.0 * s.C1 - s.c1) * s.alpha * t * t)
+    return float(np.where(t > 0.5 * s.M, -np.inf, lv).max())
 
 
 def _pz_cases():
@@ -145,18 +129,45 @@ def _pz_cases():
             yield s, x
 
 
+def _pz_search_cases():
+    """_pz_cases, every engine family's sandwiches at 40 depths, and sandwiches
+    from tail constants."""
+    yield from _pz_cases()
+    for spec in _ENGINE_SPECS:
+        for side in Side:
+            s = mgf_sandwich(spec, side)
+            for x in (math.sqrt(s.alpha) * np.geomspace(1e-6, 60.0, 40)).tolist():
+                yield s, x
+    rng = random.Random(4)
+    for _ in range(10):
+        s = mgf_sandwich_from_tails(rng.uniform(0.01, 2.0), rng.uniform(0.1, 5.0),
+                                    rng.uniform(0.1, 5.0), rng.uniform(0.5, 5.0))
+        for x in (0.0, rng.uniform(0.0, 1.0), rng.uniform(1.0, 8.0), rng.uniform(8.0, 40.0)):
+            yield s, x
+
+
 def test_pz_lower_matches_the_replaced_loop():
+    """A forced lam keeps the bits of the replaced loop.  The search certifies
+    exactly where the loop did, and its value is at most 8 ulps below the loop's
+    and below the best of a 20,000-point lam grid."""
     rng = random.Random(5)
-    n_infeasible = n_forced = 0
+    n_forced = 0
     for s, x in _pz_cases():
-        got, want = pz_lower(s, x), _ref_pz_lower(s, x)
-        assert got == want, (s, x)
         lam = rng.choice([1e-3, 0.3, 1.0, 7.0, 20.0])
         forced = pz_lower(s, x, lam=lam)
         assert forced == _ref_pz_lower(s, x, lam=lam), (s, x, lam)
-        n_infeasible += not got.certified
         n_forced += forced.certified
-    assert n_infeasible > 0 and n_forced > 0  # both outcomes were exercised
+    outcomes = set()
+    for s, x in _pz_search_cases():
+        got, want = pz_lower(s, x), _ref_pz_lower(s, x)
+        assert got.certified == want.certified, (s, x)
+        outcomes.add(got.certified)
+        if got.certified:
+            assert got == pz_lower(s, x, lam=got.params_used["lam"]), (s, x)
+            best = _lam_grid_max(s, x)
+            for ref in (want.log_value, best):
+                assert got.log_value >= ref - 8.0 * math.ulp(ref), (s, x, got.log_value, ref)
+    assert n_forced > 0 and outcomes == {True, False}  # both outcomes were exercised
 
 
 # the beta split against the loop it replaced ----------------------------------------
@@ -246,7 +257,7 @@ _SRC = pathlib.Path(tailbound.__file__).parent
 _ONE_PLACE = {
     "no-certificate BoundResult": {"_no_certificate", "_zero_result"},
     "clopper_pearson": {"_mc_estimate"},
-    "_golden_argmax": {"_grid_argmax"},
+    "_GOLDEN": {"_golden_min"},  # one golden-section loop
     # rate_info tests every rate-form window; the other two refuse a closed-form
     # tier with no certificate and a fitting grid point whose exact tail is 0
     "WindowError": {"rate_info", "lower_bound", "fit_rate_constants"},
@@ -258,11 +269,17 @@ def _called_name(call):
     return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
 
 
-def _kind(call):
-    name = _called_name(call)
+def _kind(node):
+    """The _ONE_PLACE kind of a call, or of a read of the golden ratio; else None."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        return name if name == "_GOLDEN" else None
+    if not isinstance(node, ast.Call):
+        return None
+    name = _called_name(node)
     if name == "BoundResult":
-        first = call.args[0] if call.args else next(
-            (kw.value for kw in call.keywords if kw.arg == "value"), None)
+        first = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords if kw.arg == "value"), None)
         if isinstance(first, ast.Constant) and first.value == 0:
             return "no-certificate BoundResult"
     return name if name in _ONE_PLACE else None
@@ -286,7 +303,7 @@ def test_each_helper_is_the_one_place_for_its_job():
     seen = {kind: set() for kind in _ONE_PLACE}
     strays = []
     for name, node, func in _package_nodes():
-        kind = _kind(node) if isinstance(node, ast.Call) else None
+        kind = _kind(node)
         if kind:
             seen[kind].add(func)
             if func not in _ONE_PLACE[kind]:

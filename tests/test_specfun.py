@@ -298,15 +298,25 @@ def test_bisect_finds_root():
     assert len(calls) <= 15  # bisection alone takes 53
 
 
-def test_golden_argmax_finds_maximiser():
-    arg = sf._golden_argmax(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, 80)
-    assert abs(arg - 0.3) < 1e-7
-
-
 def test_golden_min_finds_minimum():
     t, f = sf._golden_min(lambda t: (t - 1.5) ** 2 + 2.0, 0.0, 4.0)
     assert abs(t - 1.5) < 1e-6
     assert abs(f - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lower-end", "upper-end"])
+def test_golden_min_returns_the_edge_when_the_minimum_is_at_an_end(sign):
+    lo, hi = 1e-3, 20.0
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return sign * t
+    t, ft = sf._golden_min(f, lo, hi, 0.0)
+    edge = lo if sign > 0.0 else hi
+    assert abs(t - edge) <= 2.0 * math.ulp(edge) and ft == f(t)
+    assert all(lo <= c <= hi for c in calls)
+    assert len(calls) < 120  # the bracket collapsed before the step limit
 
 
 # huge shapes ------------------------------------------------------------------
