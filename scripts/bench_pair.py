@@ -17,7 +17,9 @@ It adds the traced ``quantile-map --seed 42`` counts, the engine metrics of
 traced ``point-bounds --seed 42`` runs (alternating, 10 runs each, summarized
 as above) and the wall time of ``tailbound verify --seed 42`` on both sides
 (alternating, 10 runs each), with a check that both reports have the same
-bytes apart from ``timestamp``.
+bytes apart from ``timestamp``; where they differ, it lists each moved row with
+its index, family, side, the fields that differ and the change of log U and
+log L in ulps of the base's value.
 
 Run from the repository root; the runs are serial, one process at a time.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -134,6 +137,38 @@ def without_timestamp(path: Path) -> str:
     return re.sub(r'"timestamp":"[^"]*"', "", path.read_text(encoding="utf-8"))
 
 
+def flat(value, prefix: str = "") -> dict:
+    """The leaves of a JSON value, keyed by their dotted paths."""
+    if isinstance(value, dict):
+        return {path: leaf for key, item in value.items()
+                for path, leaf in flat(item, f"{prefix}{key}.").items()}
+    return {prefix[:-1]: value}
+
+
+def ulps(base, change):
+    """change - base in ulps of base; None where either log value is -inf (null)."""
+    if base is None or change is None:
+        return None
+    return (change - base) / math.ulp(base)
+
+
+def moved_rows(base_path: Path, change_path: Path) -> list[dict]:
+    """The rows of two ``verify`` reports that differ, in report order."""
+    base, change = (json.loads(p.read_text(encoding="utf-8"))["rows"]
+                    for p in (base_path, change_path))
+    moved = []
+    for i, (b, c) in enumerate(zip(base, change)):
+        fb, fc = flat(b), flat(c)
+        fields = sorted(k for k in fb.keys() | fc.keys() if fb.get(k) != fc.get(k))
+        if fields:
+            moved.append({
+                "index": i, "family": b["spec"]["family"], "side": b["side"], "fields": fields,
+                "d_log_upper_ulps": ulps(b["upper"]["log_value"], c["upper"]["log_value"]),
+                "d_log_lower_ulps": ulps(*((r["lower"] or {}).get("log_value")
+                                           for r in (b, c)))})
+    return moved
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git revision of the base side")
@@ -197,9 +232,11 @@ def main(argv=None) -> int:
             for name in order(i):
                 walls[name].append(verify_wall(sides[name], tmp / f"verify-{name}.json"))
         result["verify_seed42_s"] = summarize(walls["base"], walls["change"], "lower")
-        result["verify_seed42_same_bytes_but_timestamp"] = (
-            without_timestamp(tmp / "verify-base.json")
-            == without_timestamp(tmp / "verify-change.json"))
+        reports = tmp / "verify-base.json", tmp / "verify-change.json"
+        same = without_timestamp(reports[0]) == without_timestamp(reports[1])
+        result["verify_seed42_same_bytes_but_timestamp"] = same
+        if not same:
+            result["verify_seed42_moved_rows"] = moved_rows(*reports)
 
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

@@ -28,7 +28,7 @@ from .dist_model import (
 )
 from .engine_lower import _EPS, _RC_ULPS, pz_lower, reverse_chernoff_lower
 from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
-from .errors import DomainError, UnsupportedFamilyError, WindowError
+from .errors import DomainError, UnsupportedFamilyError, WindowError, check_threshold
 
 
 class Tier(str, enum.Enum):
@@ -118,23 +118,21 @@ def _beta_region(spec: Beta, side: Side, x: float) -> BoundResult | None:
 
 
 def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None:
-    if oracle._binom_count(spec.k, spec.p, side, x)[2] > spec.k:  # the oracle's snapped count
+    count = oracle._binom_count(spec.k, spec.p, side, x)  # the oracle's snapped count
+    if count[2] > spec.k:
         return _zero_result("binomial_support")
     q = spec.p if side is Side.UPPER else 1.0 - spec.p  # success rate of the tail's count
     if spec.k * q + x < 1.0:
-        log_miss = math.log1p(-spec.p) if side is Side.UPPER else math.log(spec.p)
-        v, lv = oracle.binom_at_least_one(spec.k, log_miss)
-        return BoundResult(v, lv, "boundary_exact", True, _BINOMIAL_BOUNDARY,
+        return BoundResult(*oracle._binom_sf(spec.k, *count), "boundary_exact", True,
+                           _BINOMIAL_BOUNDARY,
                            {"formula": "1-(1-p)^k" if side is Side.UPPER else "1-p^k"})
     return None
 
 
 def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
     if side is Side.UPPER and spec.lam + x < 1.0:
-        v = -math.expm1(-spec.lam)
-        lv = math.log1p(-math.exp(-spec.lam))
-        return BoundResult(v, lv, "boundary_exact", True, _POISSON_BOUNDARY,
-                           {"formula": "1-exp(-lambda)"})
+        return BoundResult(*oracle.poisson_sf_int(spec.lam, 1), "boundary_exact", True,
+                           _POISSON_BOUNDARY, {"formula": "1-exp(-lambda)"})
     if side is Side.LOWER and oracle._snap(spec.lam - x) < 0.0:
         return _zero_result("poisson_support")
     if side is Side.LOWER and oracle._floor_snap(spec.lam - x) == 0:
@@ -152,44 +150,21 @@ def _closed(log_value: float, cite: str, params: dict | None = None) -> BoundRes
     return result_from_log(log_value, "closed_form", True, cite, params)
 
 
-def _gamma_upper(spec: Gamma, side: Side, x: float, tier, cite: str) -> BoundResult:
-    a = spec.alpha
-    if side is Side.UPPER:
-        lv = -x * x / (x + a + math.sqrt(a * a + 2.0 * x * a))
-    else:
-        lv = -x * x / (2.0 * a)
-    return _closed(lv, cite)
-
-
-def _chisq_upper(spec: ChiSq, side: Side, x: float, tier, cite: str) -> BoundResult:
-    k = float(spec.k)
-    if side is Side.UPPER:
-        lv = -x * x / (2.0 * (k + x) + 2.0 * math.sqrt(k * k + 2.0 * k * x))
-    else:
-        lv = -x * x / (4.0 * k)
-    return _closed(lv, cite)
-
-
-def _weighted_chisq_upper(spec: WeightedChiSq, side: Side, x: float, tier,
-                          cite: str) -> BoundResult:
-    u = spec.u
-    if side is Side.UPPER:
-        root = (math.sqrt(u.l2_sq + 2.0 * u.linf * x) - math.sqrt(u.l2_sq)) / (2.0 * u.linf)
-        lv = -root * root
-    else:
-        lv = -x * x / (4.0 * u.l2_sq)
-    return _closed(lv, cite)
-
-
-def _nc_chisq_upper(spec: NoncentralChiSq, side: Side, x: float, tier,
-                    cite: str) -> BoundResult:
-    a = spec.k + 2.0 * spec.lam
-    if side is Side.UPPER:
-        root = 0.5 * (math.sqrt(a + 2.0 * x) - math.sqrt(a))
-        lv = -root * root
-    else:
-        lv = -x * x / (4.0 * a)
-    return _closed(lv, cite)
+def _sub_gamma(scale: Callable) -> Callable:
+    """The record's ``upper`` from ``scale(spec) -> (v, c)``: the sub-gamma bound
+    exp(-x^2 / (v + c x + sqrt(v^2 + 2 c v x))) on the upper tail, which is
+    exp(-(sqrt(v + 2 c x) - sqrt(v))^2 / (2 c^2)) without its cancellation, and the
+    sub-Gaussian exp(-x^2 / (2 v)) on the lower tail and wherever c = 0 (Laurent and
+    Massart 2000)."""
+    def upper(spec, side: Side, x: float, tier, cite: str) -> BoundResult:
+        v, c = scale(spec)
+        if side is Side.UPPER and c > 0.0:
+            root = math.sqrt(v * v + 2.0 * c * v * x)
+            if root == math.inf:  # v^2 overflows; the same root as a product does not
+                root = math.sqrt(v) * math.sqrt(v + 2.0 * c * x)
+            return _closed(-x * x / (v + c * x + root), cite)
+        return _closed(-x * x / (2.0 * v), cite)
+    return upper
 
 
 def _beta_regime_rate(a: float, b: float, x: float, side: Side) -> tuple[float, str]:
@@ -408,11 +383,11 @@ class _Bounds:
 
 _BOUNDS: dict[type, _Bounds] = {
     Normal: _Bounds(
-        upper=lambda s, side, x, tier, cite: _closed(-x * x / (2.0 * s.sigma2), cite),
-        cite="gaussian_chernoff", rate=(_NORMAL_RATE, _NORMAL_RATE),
+        upper=_sub_gamma(lambda s: (s.sigma2, 0.0)), cite="gaussian_chernoff",
+        rate=(_NORMAL_RATE, _NORMAL_RATE),
         sandwich=lambda s, side: MgfSandwich(0.5, 0.5, 1.0, 1.0, s.sigma2, math.inf)),
     Gamma: _Bounds(
-        upper=_gamma_upper, cite="sub_gamma",
+        upper=_sub_gamma(lambda s: (s.alpha, 1.0)), cite="sub_gamma",
         rate=(_Rate(lambda s, x: (min(x, x * x / s.alpha), "min(x, x^2/alpha)")),
               _Rate(lambda s, x: (x * x / s.alpha, "x^2/alpha"),
                     f"x <= alpha/beta with beta = {_WINDOW_BETA:g}",
@@ -426,13 +401,13 @@ _BOUNDS: dict[type, _Bounds] = {
             _gamma_small_shape_lower(s.alpha, x, side) if s.alpha < 1.0 else None),
         other_formulas=(("both", Tier.CLOSED_FORM, _GAMMA_SMALL_SHAPE, "alpha < 1"),)),
     ChiSq: _Bounds(
-        upper=_chisq_upper, cite="laurent_massart",
+        upper=_sub_gamma(lambda s: (2.0 * s.k, 2.0)), cite="laurent_massart",
         rate=(_Rate(lambda s, x: (min(x, x * x / s.k), "min(x, x^2/k)")),
               _K_OVER_BETA_RATE),
         special=_lower_zero_from("chisq_support", lambda s: s.k),
         sandwich=lambda s, side: _chisq_like_sandwich(float(s.k), side)),
     WeightedChiSq: _Bounds(
-        upper=_weighted_chisq_upper, cite="laurent_massart",
+        upper=_sub_gamma(lambda s: (2.0 * s.u.l2_sq, 2.0 * s.u.linf)), cite="laurent_massart",
         rate=(_Rate(lambda s, x: (x * x / s.u.l2_sq, "x^2/|u|_2^2") if x <= s.u.l2_sq / s.u.linf
                     else (x / s.u.linf, "x/|u|_inf")),
               _Rate(lambda s, x: (x * x / s.u.l2_sq, "x^2/|u|_2^2"), "x <= |u|_2^2/|u|_inf",
@@ -440,7 +415,7 @@ _BOUNDS: dict[type, _Bounds] = {
         special=_lower_zero_from("weighted_chisq_support", lambda s: mean_shift(s)),
         sandwich=lambda s, side: _chisq_like_sandwich(s.u.l2_sq, side, s.u.linf)),
     NoncentralChiSq: _Bounds(
-        upper=_nc_chisq_upper, cite="birge_noncentral",
+        upper=_sub_gamma(lambda s: (2.0 * (s.k + 2.0 * s.lam), 2.0)), cite="birge_noncentral",
         rate=(_Rate(lambda s, x: (x * x / (s.k + 2.0 * s.lam), "x^2/(k+2 lambda)")
                     if x <= s.k + 2.0 * s.lam else (x, "x")),
               _Rate(lambda s, x: (x * x / (s.k + 2.0 * s.lam), "x^2/(k+2 lambda)"),
@@ -491,8 +466,8 @@ _BOUNDS: dict[type, _Bounds] = {
         special=lambda s, side, x: _zero_result("irwin_hall_support") if x > 0.5 * s.k else None,
         sandwich=lambda s, side: MgfSandwich(_IH_C1_LOW, 0.125, 1.0, 1.0, float(s.k), 1.0)),
     RademacherSum: _Bounds(
-        upper=lambda s, side, x, tier, cite: _closed(-x * x / (4.0 * s.k), cite),
-        cite="rademacher_subgaussian", rate=(_K_OVER_BETA_RATE, _K_OVER_BETA_RATE),
+        upper=_sub_gamma(lambda s: (2.0 * s.k, 0.0)), cite="rademacher_subgaussian",
+        rate=(_K_OVER_BETA_RATE, _K_OVER_BETA_RATE),
         special=lambda s, side, x: (
             _zero_result("rademacher_support")
             if oracle._binom_count(s.k, 0.5, Side.UPPER, 0.5 * x)[2] > s.k else None),
@@ -529,8 +504,7 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
     Passing a rate-form tier selects the two-regime beta shape with the
     tier's decay constant instead of the always-valid sub-Gaussian form.
     """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     side = Side(side)
     entry = _bounds(spec)
     region = entry.special(spec, side, x)
@@ -542,8 +516,7 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
 def rate_info(spec: DistSpec, side: Side, x: float) -> tuple[float, str, str]:
     """(rate value, rate description, window) of the rate-form lower bound;
     raises WindowError, naming the window, outside it."""
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     side = Side(side)
     form = _bounds(spec).rate[side is Side.LOWER]
     if not form.ok(spec, x):
@@ -560,8 +533,7 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
     small-shape gamma bracket serves both certified tiers; rate forms carry
     certified=False no matter what constants were supplied.
     """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     side = Side(side)
     entry = _bounds(spec)
     region = entry.special(spec, side, x)

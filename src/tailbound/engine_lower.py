@@ -19,7 +19,7 @@ from .engine_upper import (
     _ENDPOINT_SHRINK, BoundResult, MgfSandwich, _mirrored, _no_certificate, chernoff_upper,
     result_from_log,
 )
-from .errors import DomainError
+from .errors import DomainError, check_threshold
 from .specfun import _golden_min
 
 
@@ -69,8 +69,7 @@ def pz_lower(s: MgfSandwich, x: float, lam: float | None = None) -> BoundResult:
     and reaches M/2 at lam_M = (M/2)(c1 a M/2 - x) - log(1/c2), so there is no
     certificate when t(1e-3) > M/2.
     """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     if lam is not None and not lam > 0.0:
         raise DomainError(f"lam must be > 0, got {lam}")
     log_inv_c2, four_ca, two_ca = math.log(1.0 / s.c2), 4.0 * s.c1 * s.alpha, 2.0 * s.c1 * s.alpha
@@ -139,8 +138,7 @@ def pz_paper_bound(s: MgfSandwich, x: float, c_small_sq: float | None = None) ->
     but certified on [0, x_max].
     """
     pc = pz_paper_constants(s, c_small_sq)
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     if x > pc.x_max:
         return _no_certificate("pz_paper", "paley_zygmund", {"x_max": pc.x_max, "feasible": False})
     lv = math.log(pc.c) - pc.C * x * x / s.alpha

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dist_model import LogMgfSpec, Side, WeightVector
-from .errors import DomainError
+from .errors import DomainError, check_threshold
 from .specfun import _golden_min
 
 
@@ -98,8 +98,7 @@ def chernoff_upper(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundR
     Upper optimizes t >= 0; Lower mirrors the domain and optimizes t <= 0 for
     P(X <= -x).  Always certified.
     """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     side = Side(side)
     logphi, sup = _mirrored(mgf, side)
     if sup <= 0.0:
@@ -132,8 +131,7 @@ def chernoff_upper(mgf: LogMgfSpec, x: float, side: Side = Side.UPPER) -> BoundR
 
 def sandwich_upper(s: MgfSandwich, x: float) -> BoundResult:
     """C2 exp(-x^2/(4 C1 a)) for x <= 2 C1 M a; boundary Chernoff value beyond."""
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     knot = 2.0 * s.C1 * s.M * s.alpha
     if x <= knot:
         log_value = math.log(s.C2) - x * x / (4.0 * s.C1 * s.alpha)
@@ -152,8 +150,7 @@ def weighted_sum_upper(s: MgfSandwich, u: WeightVector, x: float) -> BoundResult
     exp(-M x / (2 |u|_inf)); a C2 prefactor per summand keeps the Chernoff
     chain valid when C2 > 1.
     """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"threshold must be >= 0, got {x}")
+    check_threshold(x)
     n = len(u)
     log_pref = n * math.log(s.C2)
     knot = 2.0 * s.M * s.C1 * s.alpha * u.l2_sq / u.linf

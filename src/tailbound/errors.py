@@ -1,4 +1,6 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions shared across the package, and the check of a tail threshold."""
+
+import math
 
 
 class TailboundError(Exception):
@@ -19,3 +21,9 @@ class UnsupportedFamilyError(TailboundError, ValueError):
 
 class TruncationError(TailboundError, ArithmeticError):
     """A truncated series or enumeration cannot reach the requested accuracy."""
+
+
+def check_threshold(x: float) -> None:
+    """Raise DomainError unless the tail threshold x is finite and >= 0."""
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"threshold must be >= 0 and finite, got {x}")

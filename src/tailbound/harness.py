@@ -56,8 +56,8 @@ class AbsoluteGrid:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.x or any(v < 0.0 for v in self.x):
-            raise DomainError("absolute grid must be nonempty with x >= 0")
+        if not self.x or any(not 0.0 <= v < math.inf for v in self.x):
+            raise DomainError("absolute grid must be nonempty with finite x >= 0")
 
 
 XPolicy = Union[QuantileGrid, AbsoluteGrid]
@@ -182,7 +182,6 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
         return 0.0, None
     if at0.value < q:
         return 0.0, "unattainable"
-    lo, d_lo = 0.0, at0.log_value - log_q
     hi, d_hi = support_extent(spec, side), math.nan
     if not math.isfinite(hi):
         hi = math.sqrt(variance(spec))
@@ -191,9 +190,8 @@ def _bisect_quantile_flagged(spec, side, q, mc_draws=None, seed=0):
             if not below:
                 d_hi = d
                 break
-            lo, d_lo = hi, d  # a doubled point still above q is the bracket's lower end
             hi *= 2.0
-    return _bracket_search(probe, lo, hi, 90, d_lo, d_hi), None
+    return _bracket_search(probe, 0.0, hi, 90, at0.log_value - log_q, d_hi), None
 
 
 def _nearest_support_x(spec, side, log_q):

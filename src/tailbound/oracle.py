@@ -26,7 +26,7 @@ from .dist_model import (
     Normal, Poisson, RademacherSum, RngStream, Side, WeightedChiSq,
     _blocks, sample,
 )
-from .errors import DomainError, TruncationError, UnsupportedFamilyError
+from .errors import DomainError, TruncationError, UnsupportedFamilyError, check_threshold
 
 
 @dataclass(frozen=True)
@@ -104,26 +104,19 @@ def _floor_snap(t: float) -> int:
     return int(math.floor(_snap(t)))
 
 
-def binom_at_least_one(k: int, log_miss: float) -> tuple[float, float]:
-    """P(Bin(k, p) >= 1) = 1 - (1-p)^k as (value, log_value), from log_miss = ln(1 - p).
-
-    Shared with the bound catalog so discrete boundary cases agree bit for bit.
-    """
-    log_none = k * log_miss
-    value = -math.expm1(log_none)
-    log_value = math.log1p(-math.exp(log_none)) if log_none > -745.0 else 0.0
-    return value, log_value
-
-
 def _binom_sf(k: int, log_p: float, log_q: float, m: int) -> tuple[float, float]:
     """P(Bin(k, p) >= m) as (value, log_value) from ln p and ln q = ln(1 - p),
-    pmf-summed from the far tail."""
+    pmf-summed from the far tail; m = k is p^k and m = 1 is 1 - q^k, in that order."""
     if m <= 0:
         return 1.0, 0.0
     if m > k:
         return 0.0, -math.inf
+    if m == k:
+        return math.exp(k * log_p), k * log_p
     if m == 1:
-        return binom_at_least_one(k, log_q)
+        log_none = k * log_q
+        log_value = math.log1p(-math.exp(log_none)) if log_none > -745.0 else 0.0
+        return -math.expm1(log_none), log_value
     log_ratio_base = log_p - log_q
     logs = []
     lg = k * log_p
@@ -375,8 +368,7 @@ def exact_tail(
     All families are analytic except the weighted chi-square and Irwin-Hall
     beyond order 30, which fall back to ``mc_tail`` with (mc_n, mc_seed).
     """
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"tail threshold must be >= 0, got {x}")
+    check_threshold(x)
     side = Side(side)
     entry = _oracle(spec)
     if entry.monte_carlo(spec):
@@ -428,8 +420,7 @@ def mc_tail(spec: DistSpec, side: Side, x: float, n: int = 10**6, seed: int = 0)
     """
     if n < 100:
         raise DomainError(f"mc_tail needs n >= 100, got {n}")
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"tail threshold must be >= 0, got {x}")
+    check_threshold(x)
     side = Side(side)
     count = 0
     for shard, m in enumerate(_blocks(n, _MC_SHARD)):

@@ -65,6 +65,20 @@ def test_bad_parameter_exits_3(capsys, dist):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("dist", [
+    '{"family":"poisson","params":{"lambda":3}}',
+    '{"family":"binomial","params":{"k":25,"p":0.3}}',
+    '{"family":"rademacher","params":{"k":20}}',
+    '{"family":"gamma","params":{"alpha":2}}',
+    '{"family":"chisq","params":{"k":4}}',
+], ids=["poisson", "binomial", "rademacher", "gamma", "chisq"])
+@pytest.mark.parametrize("flag", ["--x", "--raw-x"])
+def test_infinite_threshold_exits_3(capsys, dist, flag):
+    code, err = run_cli(capsys, "bound", "--dist", dist, "--side", "upper", flag, "inf")
+    assert code == 3
+    assert "threshold must be >= 0 and finite" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the engines run first
 def test_huge_gamma_shape_exits_3_with_message(capsys):
     code, err = run_cli(capsys, "bound", "--dist", '{"family":"gamma","params":{"alpha":1e308}}',

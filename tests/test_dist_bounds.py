@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tailbound.dist_bounds import (
 )
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson,
-    RademacherSum, Side, WeightedChiSq, WeightVector, log_mgf, support_extent,
+    RademacherSum, Side, WeightedChiSq, WeightVector, log_mgf, support_extent, variance,
 )
 from tailbound.errors import DomainError, WindowError
 from tailbound.oracle import exact_tail
@@ -81,6 +82,72 @@ def test_upper_bounds_dominate_exact():
                 assert ub.value >= hi - 1e-10, (spec, side, x)
 
 
+# the sub-gamma upper bound ---------------------------------------------------------
+
+def _sub_gamma_cases(n, seed):
+    """(spec, v, c, x) of the four families with c > 0, x from 1e-8 to 1e3 sd."""
+    rng = random.Random(seed)
+    for i in range(n):
+        if i % 4 == 0:
+            spec = Gamma(10.0 ** rng.uniform(-3.0, 8.0))
+            v, c = spec.alpha, 1.0
+        elif i % 4 == 1:
+            spec = ChiSq(int(10.0 ** rng.uniform(0.0, 7.0)))
+            v, c = 2.0 * spec.k, 2.0
+        elif i % 4 == 2:  # weights past 1e77 square v past the float range
+            spec = WeightedChiSq(WeightVector(tuple(
+                10.0 ** rng.uniform(-3.0, 3.0 if i % 8 == 2 else 150.0)
+                for _ in range(rng.randint(1, 8)))))
+            v, c = 2.0 * spec.u.l2_sq, 2.0 * spec.u.linf
+        else:
+            spec = NoncentralChiSq(rng.randint(1, 10**4), 10.0 ** rng.uniform(-3.0, 4.0))
+            v, c = 2.0 * (spec.k + 2.0 * spec.lam), 2.0
+        yield spec, v, c, math.sqrt(variance(spec)) * 10.0 ** rng.uniform(-8.0, 3.0)
+
+
+def test_sub_gamma_upper_bound_is_its_formula_within_4_ulps():
+    # -(sqrt(v + 2cx) - sqrt(v))^2 / (2c^2) in 50 digits; the root-difference form
+    # cancels at small x, the bound's form adds positive terms only
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    n_weighted = n_overflow = 0
+    for spec, v, c, x in _sub_gamma_cases(2000, 24):
+        mv, mc, mx = mpmath.mpf(v), mpmath.mpf(c), mpmath.mpf(x)
+        want = float(-(mpmath.sqrt(mv + 2 * mc * mx) - mpmath.sqrt(mv)) ** 2 / (2 * mc * mc))
+        got = upper_bound(spec, Side.UPPER, x).log_value
+        assert abs(got - want) <= 4.0 * math.ulp(want), (spec, x, got, want)
+        n_weighted += isinstance(spec, WeightedChiSq) and len(spec.u) > 1
+        n_overflow += v * v == math.inf
+    assert n_weighted > 0 and n_overflow > 0
+
+
+# the formulas the sub-gamma bound replaced, as they were written per family
+_REPLACED_UPPER = {
+    Gamma: lambda s, side, x: (
+        -x * x / (x + s.alpha + math.sqrt(s.alpha * s.alpha + 2.0 * x * s.alpha))
+        if side is Side.UPPER else -x * x / (2.0 * s.alpha)),
+    ChiSq: lambda s, side, x: (
+        -x * x / (2.0 * (s.k + x) + 2.0 * math.sqrt(float(s.k) * s.k + 2.0 * s.k * x))
+        if side is Side.UPPER else -x * x / (4.0 * s.k)),
+    Normal: lambda s, side, x: -x * x / (2.0 * s.sigma2),
+    RademacherSum: lambda s, side, x: -x * x / (4.0 * s.k),
+}
+
+
+def test_sub_gamma_keeps_the_bits_of_the_formulas_it_replaced():
+    rng = random.Random(7)
+    for _ in range(5000):
+        for spec in (Gamma(10.0 ** rng.uniform(-3.0, 8.0)),
+                     ChiSq(int(10.0 ** rng.uniform(0.0, 7.0))),
+                     Normal(10.0 ** rng.uniform(-100.0, 100.0)),
+                     RademacherSum(int(2.0 ** rng.uniform(0.0, 22.0)))):
+            for side in Side:
+                x = math.sqrt(variance(spec)) * 10.0 ** rng.uniform(-8.0, 3.0)
+                x = min(x, 0.5 * support_extent(spec, side))
+                want = _REPLACED_UPPER[type(spec)](spec, side, x)
+                assert upper_bound(spec, side, x).log_value == want, (spec, side, x)
+
+
 def test_rademacher_support_zero():
     r = lower_bound(RademacherSum(4), Side.UPPER, 5.0)
     assert r.value == 0.0 and r.certified
@@ -131,6 +198,27 @@ def test_binomial_boundary_bit_consistent():
         assert abs(lo.log_value - ref_log) < 1e-15 * max(1.0, abs(ref_log))
 
 
+def test_discrete_boundary_values_are_the_oracles():
+    # the boundary regions read the oracle's function, so L = P bit for bit
+    rng = random.Random(3)
+    for i in range(400):
+        k = 1 if i % 4 == 0 else rng.randint(2, 60)
+        p = rng.uniform(1e-4, 1.0 - 1e-4)
+        for side in Side:
+            q = p if side is Side.UPPER else 1.0 - p
+            if k * q >= 1.0:
+                continue
+            spec, x = Binomial(k, p), rng.uniform(0.0, 1.0 - k * q)
+            lo = lower_bound(spec, side, x, tier=CLOSED_FORM)
+            assert lo.method == "boundary_exact", (spec, side, x)
+            assert lo.log_value == exact_tail(spec, side, x).log_value, (spec, side, x)
+        lam = rng.uniform(1e-6, 1.0)
+        x = rng.uniform(0.0, 1.0 - lam)
+        lo = lower_bound(Poisson(lam), Side.UPPER, x, tier=CLOSED_FORM)
+        assert lo.method == "boundary_exact"
+        assert lo.log_value == exact_tail(Poisson(lam), Side.UPPER, x).log_value, (lam, x)
+
+
 def test_binomial_left_boundary():
     # k(1-p) + x < 1 forces the exact value 1 - p^k
     spec = Binomial(10, 0.97)
@@ -157,6 +245,21 @@ def test_binomial_bounds_hold_at_the_last_support_point():
             assert upper.log_value >= exact.log_value, (spec, side)
             assert lower.value <= exact.value, (spec, side)
     assert n_past_product > 0  # the ulp case was drawn
+
+
+def test_binomial_upper_bound_holds_at_40000_support_edges():
+    # at the last support point the tail is p'^k, which the oracle takes as
+    # k ln p' whatever k is, so log U = k ln p' (or above) even at k = 1
+    rng = random.Random(27)
+    n_k1 = 0
+    for _ in range(20000):
+        spec = Binomial(rng.randint(1, 400), rng.uniform(0.001, 0.999))
+        n_k1 += spec.k == 1
+        for side in Side:
+            x = support_extent(spec, side)
+            exact = exact_tail(spec, side, x).log_value
+            assert upper_bound(spec, side, x).log_value >= exact, (spec, side)
+    assert n_k1 > 0
 
 
 @pytest.mark.parametrize("spec,side,x", [

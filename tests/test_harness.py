@@ -40,6 +40,13 @@ def test_quantile_rejects_bad_q():
         bisect_quantile(Normal(1.0), Side.UPPER, 1.5)
 
 
+@pytest.mark.parametrize("xs", [(), (-1.0,), (1.0, math.nan), (math.inf,)],
+                         ids=["empty", "negative", "nan", "inf"])
+def test_absolute_grid_refuses_a_point_outside_0_to_inf(xs):
+    with pytest.raises(DomainError, match="finite x >= 0"):
+        AbsoluteGrid(xs)
+
+
 def test_quantile_unattainable_boundary():
     # gamma upper tail at x=0 is below 0.5: boundary comes back (flag recorded by the grid)
     x = bisect_quantile(Gamma(2.5), Side.UPPER, 0.5)

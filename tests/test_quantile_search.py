@@ -320,18 +320,19 @@ def test_continuous_quantile_tail_budget(tail_calls, spec):
             assert len(tail_calls) <= 56, (side, q)
 
 
-def test_doubling_hands_its_last_point_above_q_to_the_search(monkeypatch):
+def test_doubling_search_starts_at_zero_with_the_distance_of_tail_zero(monkeypatch):
     # Normal(1) at 1e-12 (x = 7.03): tail(1), tail(2) and tail(4) stay above q
-    # and tail(8) falls below it, so the search starts on [4, 8]
+    # and tail(8) falls below it; the search runs on [0, 8] from log tail(0) - log q
     starts = []
     search = harness._bracket_search
 
     def recorded(probe, lo, hi, iters, d_lo, d_hi):
-        starts.append((lo, hi, d_lo > 0.0 > d_hi))
+        starts.append((lo, hi, d_lo, d_hi < 0.0))
         return search(probe, lo, hi, iters, d_lo, d_hi)
     monkeypatch.setattr(harness, "_bracket_search", recorded)
     harness.bisect_quantile(Normal(1.0), Side.UPPER, 1e-12)
-    assert starts == [(4.0, 8.0, True)]
+    d_zero = harness.exact_tail(Normal(1.0), Side.UPPER, 0.0).log_value - math.log(1e-12)
+    assert starts == [(0.0, 8.0, d_zero, True)]
 
 
 def test_continuous_quantile_mean_tail_budget(tail_calls):

@@ -6,7 +6,10 @@ against test-side copies of the hand-written loops they replaced, and an AST
 guard fails when a hand-written copy comes back anywhere in the package. The
 same guard keeps the golden ratio in ``specfun._golden_min``, rate-window
 errors in ``dist_bounds.rate_info`` and catalog rows in
-``dist_bounds.bound_catalog``, which reads them from the records.
+``dist_bounds.bound_catalog``, which reads them from the records.  The
+sub-Gaussian and sub-gamma upper bounds are one function, ``_sub_gamma``, and
+every function that takes a tail threshold refuses one outside [0, inf) with
+``errors.check_threshold``.
 """
 
 import ast
@@ -20,7 +23,7 @@ import pytest
 import tailbound
 from tailbound import specfun as sf
 from tailbound.dist_bounds import (
-    _BOUNDS, _beta_split_lower, _engine_lower, mgf_sandwich,
+    _BOUNDS, _beta_split_lower, _engine_lower, _sub_gamma, mgf_sandwich,
 )
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum,
@@ -232,6 +235,35 @@ def test_every_engine_family_has_a_log_mgf_and_a_sandwich():
         assert mgf.domain.hi > 0.0 and -mgf.domain.lo > 0.0, spec  # both sides searchable
         for side in Side:
             mgf_sandwich(spec, side)
+
+
+def test_the_sub_gamma_families_share_one_upper_bound():
+    built = {cls for cls, entry in _BOUNDS.items()
+             if entry.upper.__qualname__ == f"{_sub_gamma.__name__}.<locals>.upper"}
+    assert built == {Normal, Gamma, ChiSq, WeightedChiSq, NoncentralChiSq, RademacherSum}
+
+
+_GAUSS = MgfSandwich(0.5, 0.5, 1.0, 1.0, 1.0, math.inf)
+_THRESHOLD_TAKERS = {
+    "upper_bound": lambda x: tailbound.upper_bound(Poisson(3.0), Side.UPPER, x),
+    "rate_info": lambda x: tailbound.dist_bounds.rate_info(Gamma(2.0), Side.UPPER, x),
+    "lower_bound": lambda x: tailbound.lower_bound(Binomial(5, 0.3), Side.UPPER, x),
+    "pz_lower": lambda x: pz_lower(_GAUSS, x),
+    "pz_paper_bound": lambda x: tailbound.pz_paper_bound(_GAUSS, x),
+    "chernoff_upper": lambda x: tailbound.chernoff_upper(log_mgf(Normal(1.0)), x),
+    "sandwich_upper": lambda x: tailbound.sandwich_upper(_GAUSS, x),
+    "weighted_sum_upper": lambda x: tailbound.weighted_sum_upper(
+        _GAUSS, WeightVector((1.0, 0.5)), x),
+    "exact_tail": lambda x: tailbound.exact_tail(RademacherSum(4), Side.UPPER, x),
+    "mc_tail": lambda x: tailbound.mc_tail(Normal(1.0), Side.UPPER, x, n=100),
+}
+
+
+@pytest.mark.parametrize("take", list(_THRESHOLD_TAKERS))
+@pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+def test_every_threshold_taker_refuses_a_threshold_outside_0_to_inf(take, x):
+    with pytest.raises(DomainError, match="threshold must be >= 0 and finite"):
+        _THRESHOLD_TAKERS[take](x)
 
 
 def test_weights_whose_squared_norm_underflows_are_refused():
