@@ -3,7 +3,8 @@
 Three tiers of lower bound are served:
 
 * closed_form_certified: explicit formulas and exact boundary/zero values
-  (small-shape gamma bracket, discrete boundary cases, support edges);
+  (small-shape gamma bracket, discrete boundary cases, the zero tail at and
+  past a support edge);
 * numeric_certified: a certificate produced by the lower-bound engines
   (reverse Chernoff on the exact MGF, Paley-Zygmund on the family sandwich,
   the binomial atom pmf(m) with its log-concave extension, or the
@@ -24,7 +25,7 @@ from . import oracle, specfun
 from .dist_model import (
     Beta, Binomial, ChiSq, DistSpec, Gamma, IrwinHall, NoncentralChiSq,
     Normal, Poisson, RademacherSum, Side, WeightedChiSq,
-    _FAMILY, family_name, log_mgf, mean_shift, variance,
+    _FAMILY, _family, family_name, log_mgf, support_extent, variance,
 )
 from .engine_lower import _EPS, _RC_ULPS, pz_lower, reverse_chernoff_lower
 from .engine_upper import BoundResult, MgfSandwich, _no_certificate, result_from_log
@@ -94,35 +95,28 @@ _POISSON_BOUNDARY = "poisson_boundary"
 
 
 # ---------------------------------------------------------------------------
-# exact special regions: support zeros and discrete boundary values
+# exact regions: support zeros and discrete boundary values
 # ---------------------------------------------------------------------------
 
 
-def _zero_result(cite: str) -> BoundResult:
-    return BoundResult(0.0, -math.inf, "closed_form", True, cite, {"region": "zero_tail"})
+def _zero_result(spec: DistSpec) -> BoundResult:
+    return BoundResult(0.0, -math.inf, "closed_form", True, f"{family_name(spec)}_support",
+                       {"region": "zero_tail"})
 
 
-def _none(spec, side: Side, x: float) -> None:
-    return None
-
-
-def _lower_zero_from(cite: str, edge):
-    """Special region of a family whose lower tail is 0 once x >= edge(spec)."""
-    return lambda s, side, x: _zero_result(cite) if side is Side.LOWER and x >= edge(s) else None
-
-
-def _beta_region(spec: Beta, side: Side, x: float) -> BoundResult | None:
-    mu = spec.alpha / (spec.alpha + spec.beta)
-    edge = 1.0 - mu if side is Side.UPPER else mu
-    return _zero_result("beta_support") if x > edge else None
+def _region(entry: "_Bounds", spec: DistSpec, side: Side, x: float) -> BoundResult | None:
+    """The result served before any bound: a continuous family's zero tail from
+    ``support_extent`` on, where the oracle's tail is 0 too, else the special region."""
+    if _family(spec).support_x is None and x >= support_extent(spec, side):
+        return _zero_result(spec)
+    return entry.special and entry.special(spec, side, x)
 
 
 def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None:
-    count = oracle._binom_count(spec.k, spec.p, side, x)  # the oracle's snapped count
+    count = oracle._binom_count(spec.k, spec.p, side, x)
     if count[2] > spec.k:
-        return _zero_result("binomial_support")
-    q = spec.p if side is Side.UPPER else 1.0 - spec.p  # success rate of the tail's count
-    if spec.k * q + x < 1.0:
+        return _zero_result(spec)
+    if count[2] == 1:
         return BoundResult(*oracle._binom_sf(spec.k, *count), "boundary_exact", True,
                            _BINOMIAL_BOUNDARY,
                            {"formula": "1-(1-p)^k" if side is Side.UPPER else "1-p^k"})
@@ -130,15 +124,18 @@ def _binomial_region(spec: Binomial, side: Side, x: float) -> BoundResult | None
 
 
 def _poisson_region(spec: Poisson, side: Side, x: float) -> BoundResult | None:
-    if side is Side.UPPER and spec.lam + x < 1.0:
-        return BoundResult(*oracle.poisson_sf_int(spec.lam, 1), "boundary_exact", True,
-                           _POISSON_BOUNDARY, {"formula": "1-exp(-lambda)"})
-    if side is Side.LOWER and oracle._snap(spec.lam - x) < 0.0:
-        return _zero_result("poisson_support")
-    if side is Side.LOWER and oracle._floor_snap(spec.lam - x) == 0:
-        return BoundResult(*oracle.poisson_cdf_int(spec.lam, 0), "boundary_exact", True,
-                           _POISSON_BOUNDARY, {"formula": "exp(-lambda)"})
+    count = oracle._poisson_count(spec.lam, side, x)
+    if count < 0:
+        return _zero_result(spec)
+    if count == (1 if side is Side.UPPER else 0):  # P(X >= 1) or P(X <= 0)
+        return BoundResult(*oracle._poisson_tail(spec.lam, side, x), "boundary_exact", True,
+                           _POISSON_BOUNDARY,
+                           {"formula": "1-exp(-lambda)" if side is Side.UPPER else "exp(-lambda)"})
     return None
+
+
+def _rademacher_region(spec: RademacherSum, side: Side, x: float) -> BoundResult | None:
+    return _zero_result(spec) if oracle._rademacher_count(spec.k, x)[2] > spec.k else None
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +214,28 @@ def _irwin_hall_upper(spec: IrwinHall, side: Side, x: float, tier, cite: str) ->
 # ---------------------------------------------------------------------------
 
 
+def _gamma_small_shape_log_diff(a: float, x: float) -> float:
+    """ln((a+x+1)^a - (a+x)^a) = a ln(a+x) + ln(e^u - 1), u = a ln(1 + 1/(a+x)); below
+    1e-300, e^u - 1 is u to every digit, and ln u is taken as a sum before u underflows."""
+    t = math.log1p(1.0 / (a + x))
+    u = a * t
+    log_em1 = math.log(math.expm1(u)) if u > 1e-300 else math.log(a) + math.log(t)
+    return a * math.log(a + x) + log_em1
+
+
 def _gamma_small_shape_lower(a: float, x: float, side: Side) -> BoundResult:
     """Explicit bracket lower ends for Gamma(a) with a < 1."""
     if side is Side.UPPER:
         # (1/e) ((a+x+1)^a - (a+x)^a) / (e^(a+x) Gamma(a+1))
-        log_diff = a * math.log(a + x) + math.log(math.expm1(a * math.log1p(1.0 / (a + x))))
-        lv = -1.0 + log_diff - (a + x) - math.lgamma(a + 1.0)
-    else:  # x < a: the special region serves the zero tail beyond
+        lv = -1.0 + _gamma_small_shape_log_diff(a, x) - (a + x) - math.lgamma(a + 1.0)
+    else:  # x < a: the support edge serves the zero tail beyond
         lv = a * math.log(a - x) - 1.0 - math.lgamma(a + 1.0)
     return result_from_log(lv, "closed_form", True, _GAMMA_SMALL_SHAPE)
 
 
 def gamma_small_shape_upper_end(a: float, x: float) -> float:
     """Matching explicit upper end e/(e-1) * same kernel, for bracket checks."""
-    log_diff = a * math.log(a + x) + math.log(math.expm1(a * math.log1p(1.0 / (a + x))))
+    log_diff = _gamma_small_shape_log_diff(a, x)
     return math.exp(1.0 - math.log(math.e - 1.0) + log_diff - (a + x) - math.lgamma(a + 1.0))
 
 
@@ -298,20 +303,23 @@ def _binomial_atom_lower(k: int, log_p: float, log_q: float, m: int) -> BoundRes
 
 
 def _beta_split_lower(spec: Beta, side: Side, x: float) -> BoundResult:
-    """P(Z >= mu + x) >= P(R1 >= a + y) P(R2 <= b - y) for gammas R1, R2, y >= (a+b)x.
+    """P(Z >= mu + x) = P(1 - Z <= e - x) >= P(R1 >= a + b - w) P(R2 <= w) for gammas
+    R1, R2 and 0 < w <= (a+b)(e - x), e = b/(a+b) the oracle's edge, as 1 - Z = R2 / (R1 + R2).
 
-    Both factors fall as y grows, so the least feasible split y0 = (a+b)x is
-    the best; it needs y0 < b.
+    Both factors grow with w: w is the edge distance, which does not cancel near the
+    edge, lowered by _RC_ULPS ulps, and R1's argument is raised by as many ulps of a + b.
     """
     _require_beta_bound_params(spec)
     a, b = (spec.alpha, spec.beta) if side is Side.UPPER else (spec.beta, spec.alpha)
-    y0 = (a + b) * x
+    ulps = _RC_ULPS * _EPS
+    w = (a + b) * (support_extent(spec, side) - x) * (1.0 - ulps)
     lv = -math.inf
-    if y0 < b:
-        lv = specfun.log_reg_inc_gamma_upper(a, a + y0) + specfun.log_reg_inc_gamma_lower(b, b - y0)
+    if w > 0.0:
+        lv = (specfun.log_reg_inc_gamma_upper(a, (a + b) * (1.0 + ulps) - w)
+              + specfun.log_reg_inc_gamma_lower(b, w))
     if not lv > -math.inf:
         return _no_certificate("beta_gamma_split", "beta_gamma_split", {"feasible": False})
-    return result_from_log(lv, "beta_gamma_split", True, "beta_gamma_split", {"y": y0})
+    return result_from_log(lv, "beta_gamma_split", True, "beta_gamma_split", {"y": b - w})
 
 
 def _engine_lower(spec: DistSpec, side: Side, x: float) -> BoundResult:
@@ -374,9 +382,10 @@ class _Bounds:
     upper: Callable  # (spec, side, x, tier, cite) -> closed-form upper bound citing cite
     cite: str  # citation of the closed-form upper bound
     rate: tuple[_Rate, _Rate]  # rate forms of the upper and the lower tail
-    special: Callable = _none  # (spec, side, x) -> exact zero/boundary value or None
+    # (spec, side, x) -> result served first, or None: a discrete zero or boundary value
+    # read from the oracle's count, or a closed-form lower certificate serving every tier
+    special: Callable | None = None
     sandwich: Callable | None = None  # (spec, side) -> MgfSandwich, if the family has one
-    closed_lower: Callable = _none  # (spec, side, x) -> lower bound serving every tier
     numeric: Callable = _engine_lower  # (spec, side, x) -> numeric-certified lower bound
     other_formulas: tuple = ()  # (side, tier, cite, window) of each other formula served
 
@@ -392,19 +401,17 @@ _BOUNDS: dict[type, _Bounds] = {
               _Rate(lambda s, x: (x * x / s.alpha, "x^2/alpha"),
                     f"x <= alpha/beta with beta = {_WINDOW_BETA:g}",
                     lambda s, x: x <= s.alpha / _WINDOW_BETA)),
-        special=_lower_zero_from("gamma_support", lambda s: s.alpha),
+        special=lambda s, side, x: (
+            _gamma_small_shape_lower(s.alpha, x, side) if s.alpha < 1.0 else None),
         # upper: t^2/2 <= -(t + log(1-t)) <= t^2/(2(1-t)) <= 5 t^2 for t <= 9/10;
         # lower: t^2/3 <= t - log(1+t) <= t^2/2 for t <= 1/2
         sandwich=lambda s, side: _per_side(side, (0.5, 5.0, 1.0, 1.0, s.alpha, 0.9),
                                            (1.0 / 3.0, 0.5, 1.0, 1.0, s.alpha, 0.5)),
-        closed_lower=lambda s, side, x: (
-            _gamma_small_shape_lower(s.alpha, x, side) if s.alpha < 1.0 else None),
         other_formulas=(("both", Tier.CLOSED_FORM, _GAMMA_SMALL_SHAPE, "alpha < 1"),)),
     ChiSq: _Bounds(
         upper=_sub_gamma(lambda s: (2.0 * s.k, 2.0)), cite="laurent_massart",
         rate=(_Rate(lambda s, x: (min(x, x * x / s.k), "min(x, x^2/k)")),
               _K_OVER_BETA_RATE),
-        special=_lower_zero_from("chisq_support", lambda s: s.k),
         sandwich=lambda s, side: _chisq_like_sandwich(float(s.k), side)),
     WeightedChiSq: _Bounds(
         upper=_sub_gamma(lambda s: (2.0 * s.u.l2_sq, 2.0 * s.u.linf)), cite="laurent_massart",
@@ -412,7 +419,6 @@ _BOUNDS: dict[type, _Bounds] = {
                     else (x / s.u.linf, "x/|u|_inf")),
               _Rate(lambda s, x: (x * x / s.u.l2_sq, "x^2/|u|_2^2"), "x <= |u|_2^2/|u|_inf",
                     lambda s, x: x <= s.u.l2_sq / s.u.linf)),
-        special=_lower_zero_from("weighted_chisq_support", lambda s: mean_shift(s)),
         sandwich=lambda s, side: _chisq_like_sandwich(s.u.l2_sq, side, s.u.linf)),
     NoncentralChiSq: _Bounds(
         upper=_sub_gamma(lambda s: (2.0 * (s.k + 2.0 * s.lam), 2.0)), cite="birge_noncentral",
@@ -421,7 +427,6 @@ _BOUNDS: dict[type, _Bounds] = {
               _Rate(lambda s, x: (x * x / (s.k + 2.0 * s.lam), "x^2/(k+2 lambda)"),
                     f"x <= (k+lambda)/beta with beta = {_WINDOW_BETA:g}",
                     lambda s, x: x <= (s.k + s.lam) / _WINDOW_BETA)),
-        special=_lower_zero_from("noncentral_chisq_support", lambda s: s.k + s.lam),
         sandwich=lambda s, side: _chisq_like_sandwich(s.k + 2.0 * s.lam, side)),
     Beta: _Bounds(
         upper=_beta_upper, cite="beta_subgaussian",
@@ -431,7 +436,7 @@ _BOUNDS: dict[type, _Bounds] = {
               _Rate(lambda s, x: _beta_regime_rate(s.alpha, s.beta, x, Side.LOWER),
                     f"x <= alpha/(eta (alpha+beta)) with eta = {_WINDOW_ETA:g}",
                     lambda s, x: _beta_in_window(s, s.alpha, x))),
-        special=_beta_region, numeric=_beta_split_lower,
+        numeric=_beta_split_lower,
         other_formulas=(("both", Tier.RATE, _BETA_REGIME_RATE, _EVERY_X),)),
     Binomial: _Bounds(
         upper=_binomial_upper, cite="kl_chernoff",
@@ -446,8 +451,8 @@ _BOUNDS: dict[type, _Bounds] = {
         special=_binomial_region,
         numeric=lambda s, side, x: _binomial_atom_lower(
             s.k, *oracle._binom_count(s.k, s.p, side, x)),
-        other_formulas=(("upper", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "kp + x < 1"),
-                        ("lower", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "k(1-p) + x < 1"))),
+        other_formulas=(("upper", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "kp + x <= 1"),
+                        ("lower", Tier.CLOSED_FORM, _BINOMIAL_BOUNDARY, "k(1-p) + x <= 1"))),
     Poisson: _Bounds(
         upper=_poisson_upper, cite="bennett",
         rate=(_Rate(_poisson_bennett, "x + lambda >= 1", lambda s, x: s.lam + x >= 1.0),
@@ -458,23 +463,18 @@ _BOUNDS: dict[type, _Bounds] = {
         # lower: (e^-1/2) t^2 <= e^-t - 1 + t <= t^2/2 for t <= 1
         sandwich=lambda s, side: _per_side(side, (0.5, 0.5 * math.e, 1.0, 1.0, s.lam, 1.0),
                                            (0.5 * math.exp(-1.0), 0.5, 1.0, 1.0, s.lam, 1.0)),
-        other_formulas=(("upper", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "x + lambda < 1"),
+        other_formulas=(("upper", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "x + lambda <= 1"),
                         ("lower", Tier.CLOSED_FORM, _POISSON_BOUNDARY, "lambda - x < 1"))),
     IrwinHall: _Bounds(
         upper=_irwin_hall_upper, cite="kl_chernoff_symmetric",
         rate=(_IRWIN_HALL_RATE, _IRWIN_HALL_RATE),
-        special=lambda s, side, x: _zero_result("irwin_hall_support") if x > 0.5 * s.k else None,
         sandwich=lambda s, side: MgfSandwich(_IH_C1_LOW, 0.125, 1.0, 1.0, float(s.k), 1.0)),
     RademacherSum: _Bounds(
         upper=_sub_gamma(lambda s: (2.0 * s.k, 0.0)), cite="rademacher_subgaussian",
         rate=(_K_OVER_BETA_RATE, _K_OVER_BETA_RATE),
-        special=lambda s, side, x: (
-            _zero_result("rademacher_support")
-            if oracle._binom_count(s.k, 0.5, Side.UPPER, 0.5 * x)[2] > s.k else None),
+        special=_rademacher_region,
         sandwich=lambda s, side: MgfSandwich(_RAD_C1_LOW, 0.5, 1.0, 1.0, float(s.k), 1.0),
-        # X = 2B - k: either tail at x is the Binomial(k, 1/2) right tail at x/2
-        numeric=lambda s, side, x: _binomial_atom_lower(
-            s.k, *oracle._binom_count(s.k, 0.5, Side.UPPER, 0.5 * x))),
+        numeric=lambda s, side, x: _binomial_atom_lower(s.k, *oracle._rademacher_count(s.k, x))),
 }
 
 
@@ -507,7 +507,7 @@ def upper_bound(spec: DistSpec, side: Side, x: float,
     check_threshold(x)
     side = Side(side)
     entry = _bounds(spec)
-    region = entry.special(spec, side, x)
+    region = _region(entry, spec, side, x)
     if region is not None and region.log_value == -math.inf:
         return region
     return entry.upper(spec, side, x, tier, entry.cite)
@@ -536,9 +536,7 @@ def lower_bound(spec: DistSpec, side: Side, x: float,
     check_threshold(x)
     side = Side(side)
     entry = _bounds(spec)
-    region = entry.special(spec, side, x)
-    if region is None:
-        region = entry.closed_lower(spec, side, x)
+    region = _region(entry, spec, side, x)
     if region is not None:
         return region
 

@@ -274,7 +274,9 @@ def variance(spec: DistSpec) -> float:
 
 
 def support_extent(spec: DistSpec, side: Side) -> float:
-    """Largest x with P(X >= x) > 0 (upper) or P(X <= -x) > 0 (lower); inf if unbounded."""
+    """Least x with P(X >= x) = 0 (upper) or P(X <= -x) = 0 (lower) for a continuous
+    family, whose tail is already 0 at the edge, and the largest attained x for a
+    discrete one; inf if unbounded."""
     upper, lower = _family(spec).extent(spec, mean_shift(spec))
     return upper if Side(side) is Side.UPPER else lower
 
@@ -430,7 +432,7 @@ _FAMILY: dict[type, _Family] = {
     Beta: _Family(
         "beta", mean=lambda s: s.alpha / (s.alpha + s.beta),
         variance=lambda s: s.alpha * s.beta / ((s.alpha + s.beta) ** 2 * (s.alpha + s.beta + 1.0)),
-        extent=lambda s, mu: (1.0 - mu, mu),
+        extent=lambda s, mu: (s.beta / (s.alpha + s.beta), mu),
         draw=lambda s, rng, n: rng.beta(s.alpha, s.beta, size=n)),
     Binomial: _Family(
         "binomial", mean=lambda s: s.k * s.p, variance=lambda s: s.k * s.p * (1.0 - s.p),

@@ -115,8 +115,7 @@ def _binom_sf(k: int, log_p: float, log_q: float, m: int) -> tuple[float, float]
         return math.exp(k * log_p), k * log_p
     if m == 1:
         log_none = k * log_q
-        log_value = math.log1p(-math.exp(log_none)) if log_none > -745.0 else 0.0
-        return -math.expm1(log_none), log_value
+        return -math.expm1(log_none), specfun._log1mexp(log_none)
     log_ratio_base = log_p - log_q
     logs = []
     lg = k * log_p
@@ -141,11 +140,18 @@ def binom_upper_tail(k: int, p: float, m: int) -> tuple[float, float]:
 def _binom_count(k: int, p: float, side: Side, x: float) -> tuple[float, float, int]:
     """(ln p', ln(1 - p'), m) with tail = P(Bin(k, p') >= m) for Y ~ Bin(k, p): the
     successes Y on the upper side, P(Y >= kp + x), and the failures k - Y ~ Bin(k, 1 - p)
-    on the lower side, P(Y <= kp - x); m > k where the tail is empty."""
+    on the lower side, P(Y <= kp - x); m > k where the tail is empty, and m >= 1 where
+    the snap would round a tiny kp + x or k(1 - p) + x to 0."""
     log_p, log_q = math.log(p), math.log1p(-p)
     if side is Side.UPPER:
-        return log_p, log_q, _ceil_snap(k * p + x)
-    return log_q, log_p, k - _floor_snap(k * p - x)
+        return log_p, log_q, max(1, _ceil_snap(k * p + x))
+    return log_q, log_p, max(1, k - _floor_snap(k * p - x))
+
+
+def _rademacher_count(k: int, x: float) -> tuple[float, float, int]:
+    """``_binom_count`` of B ~ Bin(k, 1/2) for X = 2B - k: either tail of X at x is
+    B's upper tail at x/2."""
+    return _binom_count(k, 0.5, Side.UPPER, 0.5 * x)
 
 
 def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
@@ -153,16 +159,12 @@ def poisson_sf_int(lam: float, m: int) -> tuple[float, float]:
     if m <= 0:
         return 1.0, 0.0
     if m == 1:
-        v = -math.expm1(-lam)
-        return v, math.log1p(-math.exp(-lam))
+        return -math.expm1(-lam), specfun._log1mexp(-lam)
     return specfun.inc_gamma(m, lam)[:2]
 
 
 def poisson_cdf_int(lam: float, j: int) -> tuple[float, float]:
-    """P(Poisson(lam) <= j) as (value, log_value) via P(Gamma(j+1) >= lam).
-
-    Shared with the bound catalog, whose boundary value P(X <= 0) = e^-lam it gives.
-    """
+    """P(Poisson(lam) <= j) as (value, log_value) via P(Gamma(j+1) >= lam)."""
     if j < 0:
         return 0.0, -math.inf
     if j == 0:
@@ -170,13 +172,17 @@ def poisson_cdf_int(lam: float, j: int) -> tuple[float, float]:
     return specfun.inc_gamma(j + 1, lam)[2:]
 
 
-def _poisson_tail(lam: float, side: Side, x: float) -> tuple[float, float]:
+def _poisson_count(lam: float, side: Side, x: float) -> int:
+    """m with tail P(N >= m), at least 1 as lam + x > 0, on the upper side; j with
+    tail P(N <= j), below 0 where the tail is empty, on the lower side."""
     if side is Side.UPPER:
-        return poisson_sf_int(lam, _ceil_snap(lam + x))
-    t = _snap(lam - x)
-    if t < 0.0:
-        return 0.0, -math.inf
-    return poisson_cdf_int(lam, _floor_snap(t))
+        return max(1, _ceil_snap(lam + x))
+    return _floor_snap(lam - x)
+
+
+def _poisson_tail(lam: float, side: Side, x: float) -> tuple[float, float]:
+    tail = poisson_sf_int if side is Side.UPPER else poisson_cdf_int
+    return tail(lam, _poisson_count(lam, side, x))
 
 
 def irwin_hall_cdf(k: int, y: float) -> float:
@@ -339,9 +345,8 @@ _ORACLES: dict[type, _Oracle] = {
     Binomial: _Oracle(lambda s, side, x: (*_binom_sf(s.k, *_binom_count(s.k, s.p, side, x)),
                                           ExactError(1e-14))),
     Poisson: _Oracle(lambda s, side, x: (*_poisson_tail(s.lam, side, x), ExactError(1e-12))),
-    # X = 2B - k with B ~ Bin(k, 1/2): either tail at x is B's upper tail at x/2
-    RademacherSum: _Oracle(lambda s, side, x: (
-        *_binom_sf(s.k, *_binom_count(s.k, 0.5, Side.UPPER, 0.5 * x)), ExactError(1e-14))),
+    RademacherSum: _Oracle(lambda s, side, x: (*_binom_sf(s.k, *_rademacher_count(s.k, x)),
+                                               ExactError(1e-14))),
     IrwinHall: _Oracle(_irwin_hall_tail,
                        monte_carlo=lambda s: s.k > _IRWIN_HALL_EXACT_MAX_K),
     NoncentralChiSq: _Oracle(_nc_chisq_tail),

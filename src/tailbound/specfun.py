@@ -150,6 +150,14 @@ def _log1m(p: float) -> float:
     return -math.inf
 
 
+def _log1mexp(t: float) -> float:
+    """ln(1 - e^t) for t <= 0, from expm1 above -ln 2 and log1p below, so neither end
+    cancels (Maechler 2012); -inf at t = 0."""
+    if t > -math.log(2.0):
+        return math.log(-math.expm1(t)) if t < 0.0 else -math.inf
+    return math.log1p(-math.exp(t))
+
+
 def inc_gamma(a: float, y: float) -> tuple[float, float, float, float]:
     """(P, ln P, Q, ln Q) for the regularized incomplete gamma at (a, y).
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,7 +193,8 @@ def test_binomial_boundary_bit_consistent():
         x = float(rng.uniform(0.0, max(1e-9, 1.0 - k * p - 1e-12)))
         lo = lower_bound(Binomial(k, p), Side.UPPER, x)
         ex = exact_tail(Binomial(k, p), Side.UPPER, x)
-        ref_log = math.log1p(-math.exp(k * math.log1p(-p)))
+        # 1 - (1-p)^k in exact rational arithmetic, rounded once
+        ref_log = math.log(1 - (1 - Fraction(p)) ** k)
         assert lo.value == ex.value
         assert lo.log_value == ex.log_value
         assert abs(lo.log_value - ref_log) < 1e-15 * max(1.0, abs(ref_log))
@@ -305,6 +307,16 @@ def test_gamma_small_shape_bracket_grid():
             hi = gamma_small_shape_left_upper_end(float(a), float(x))
             assert lo <= exact + 1e-12
             assert exact <= hi + 1e-12
+
+
+@pytest.mark.parametrize("a,x", [(1e-20, 1e308), (1e-10, 1e300), (1e-300, 1e10)])
+def test_gamma_small_shape_certificate_where_its_kernel_underflows(a, x):
+    # a ln(1 + 1/(a+x)) underflows past e^u - 1; the certificate is served before
+    # upper_bound's formula, so both bounds raised there
+    p = exact_tail(Gamma(a), Side.UPPER, x).log_value
+    lo = lower_bound(Gamma(a), Side.UPPER, x)
+    assert lo.certified and lo.log_value <= p < 0.0
+    assert upper_bound(Gamma(a), Side.UPPER, x).log_value < 0.0
 
 
 # numeric certified lower bounds -------------------------------------------------

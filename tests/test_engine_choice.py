@@ -62,7 +62,7 @@ def test_engine_lower_keeps_the_better_certificate_of_both_engines(monkeypatch):
             side = rng.choice(list(Side))  # fewer lower sides: many fall past the support
         sd = math.sqrt(variance(spec))
         x = sd * 10.0 ** rng.uniform(-6.0, math.log10(8.0))
-        if dist_bounds._bounds(spec).special(spec, side, x) is not None:
+        if dist_bounds._region(dist_bounds._bounds(spec), spec, side, x) is not None:
             continue
         x_eff = max(x, 1e-9 * max(1.0, sd))
         rc = real_rc(log_mgf(spec), x_eff, side)

@@ -5,11 +5,11 @@ The shared helpers (``specfun._golden_min``, ``engine_upper._no_certificate``,
 against test-side copies of the hand-written loops they replaced, and an AST
 guard fails when a hand-written copy comes back anywhere in the package. The
 same guard keeps the golden ratio in ``specfun._golden_min``, rate-window
-errors in ``dist_bounds.rate_info`` and catalog rows in
-``dist_bounds.bound_catalog``, which reads them from the records.  The
-sub-Gaussian and sub-gamma upper bounds are one function, ``_sub_gamma``, and
-every function that takes a tail threshold refuses one outside [0, inf) with
-``errors.check_threshold``.
+errors in ``dist_bounds.rate_info``, zero tails in ``dist_bounds._region`` and
+the discrete regions, and catalog rows in ``dist_bounds.bound_catalog``, which
+reads them from the records.  The sub-Gaussian and sub-gamma upper bounds are
+one function, ``_sub_gamma``, and every function that takes a tail threshold
+refuses one outside [0, inf) with ``errors.check_threshold``.
 """
 
 import ast
@@ -27,11 +27,12 @@ from tailbound.dist_bounds import (
 )
 from tailbound.dist_model import (
     Beta, Binomial, ChiSq, Gamma, IrwinHall, NoncentralChiSq, Normal, Poisson, RademacherSum,
-    Side, WeightedChiSq, WeightVector, log_mgf,
+    Side, WeightedChiSq, WeightVector, log_mgf, support_extent, variance,
 )
 from tailbound.engine_lower import mgf_sandwich_from_tails, pz_lower
 from tailbound.engine_upper import BoundResult, MgfSandwich, result_from_log
 from tailbound.errors import DomainError
+from tailbound.harness import DEFAULT_QUANTILES, bisect_quantile
 from tailbound.oracle import MonteCarloError, _mc_estimate, clopper_pearson
 
 
@@ -193,27 +194,48 @@ def _ref_beta_split_lower(spec, side, x):
                            {"y": best[1]})
 
 
-def _beta_split_cases(n):
-    rng = random.Random(9)
-    shape = lambda hi: math.exp(rng.uniform(0.0, math.log(hi)))  # noqa: E731
-    for i in range(n):
-        hi = 5000.0 if i % 4 == 0 else 60.0  # large shapes cost the loop most
-        alpha, beta = (5000.0, shape(hi)) if i % 97 == 0 else (shape(hi), shape(hi))
-        side = rng.choice(list(Side))
-        edge = (beta if side is Side.UPPER else alpha) / (alpha + beta)
-        x = rng.choice([rng.uniform(0.0, edge), rng.uniform(0.0, edge), 0.0, 1e-300,
-                        edge * rng.uniform(0.0, 1e-6), math.nextafter(edge, 0.0),
-                        edge * (1.0 - rng.uniform(0.0, 1e-6)), edge])
-        yield Beta(alpha, beta), side, x
+def _split_rows():
+    """Beta(2, 5) at the verify sweep's quantiles, then specs and depths drawn as the
+    point-bounds benchmark draws them: shapes log-uniform in [1, 50] and x = z sd with
+    z log-uniform in [0.05, 8], short of the edge."""
+    spec = Beta(2.0, 5.0)
+    for side in Side:
+        for q in DEFAULT_QUANTILES:
+            yield spec, side, bisect_quantile(spec, side, q)
+    rng = random.Random(11)
+    log_u = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))  # noqa: E731
+    while True:
+        spec, side = Beta(log_u(1.0, 50.0), log_u(1.0, 50.0)), rng.choice(list(Side))
+        x = log_u(0.05, 8.0) * math.sqrt(variance(spec))
+        if x < support_extent(spec, side):
+            yield spec, side, x
 
 
-def test_beta_split_matches_the_replaced_loop():
-    outcomes = set()
-    for spec, side, x in _beta_split_cases(2000):
-        got = _beta_split_lower(spec, side, x)
-        assert got == _ref_beta_split_lower(spec, side, x), (spec, side, x)
-        outcomes.add(got.certified)
-    assert outcomes == {True, False}
+def test_beta_split_stays_within_1e_10_nats_of_the_replaced_loop():
+    # the split reads b - (a+b)x as the edge distance (a+b)(b/(a+b) - x), which does
+    # not cancel near the edge, so it moves off the loop's bits by rounding alone
+    rows = _split_rows()
+    for _ in range(2 * len(DEFAULT_QUANTILES) + 300):
+        spec, side, x = next(rows)
+        got, want = _beta_split_lower(spec, side, x), _ref_beta_split_lower(spec, side, x)
+        assert got.certified and want.certified
+        assert abs(got.log_value - want.log_value) <= 1e-10, (spec, side, x, got, want)
+
+
+def test_beta_split_never_exceeds_the_exact_tail_at_the_edge():
+    rng = random.Random(3)
+    for _ in range(400):
+        spec = Beta(rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0))
+        for side in Side:
+            edge = support_extent(spec, side)
+            xs = [edge]
+            for _ in range(3):  # 1 to 3 ulps inside
+                xs.append(math.nextafter(xs[-1], 0.0))
+            for x in (*xs, math.nextafter(edge, 1.0), edge * (1.0 - 1e-15), edge * (1.0 - 1e-13)):
+                got = _beta_split_lower(spec, side, x)
+                p = tailbound.exact_tail(spec, side, x)
+                assert got.log_value <= p.log_value, (spec, side, x, got.log_value, p.log_value)
+                assert got.certified == (x < edge), (spec, side, x, got)
 
 
 # the engine route needs both a log-MGF and a sandwich ------------------------------
@@ -293,6 +315,9 @@ _ONE_PLACE = {
     # rate_info tests every rate-form window; the other two refuse a closed-form
     # tier with no certificate and a fitting grid point whose exact tail is 0
     "WindowError": {"rate_info", "lower_bound", "fit_rate_constants"},
+    # a continuous zero tail comes from the one support-edge rule; a discrete one from
+    # the oracle's count
+    "_zero_result": {"_region", "_binomial_region", "_poisson_region", "_rademacher_region"},
 }
 
 
